@@ -801,6 +801,7 @@ mod tests {
     use super::*;
     use gp_ir::zoo::{self, CandleUnoConfig, DlrmConfig, MmtConfig, MoeConfig};
     use gp_serve::fingerprint::numbering_signature;
+    use gp_serve::json::JsonErrorKind;
 
     fn zoo_requests() -> Vec<PlanRequest> {
         let cluster = Cluster::summit_like(8);
@@ -915,5 +916,57 @@ mod tests {
             Err(ProtocolError::UnsupportedVersion(_))
         ));
         assert!(classify_reply("{\"format\":\"mystery\"}").is_err());
+    }
+
+    #[test]
+    fn nesting_bombs_are_typed_errors() {
+        // ~200 KB of `[` is far below MAX_FRAME; it must come back as a
+        // typed error, not overflow the decoder's stack.
+        let bomb = "[".repeat(200 << 10);
+        match decode_request(&bomb) {
+            Err(ProtocolError::Json(e)) => assert_eq!(e.kind, JsonErrorKind::TooDeep),
+            Err(other) => panic!("expected a depth error, got {other:?}"),
+            Ok(_) => panic!("a nesting bomb decoded"),
+        }
+        assert!(classify_reply(&bomb).is_err());
+    }
+
+    /// Nesting depth of a parsed document (a scalar is depth 0).
+    fn depth(doc: &Json) -> usize {
+        match doc {
+            Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+            Json::Obj(members) => 1 + members.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    /// Requests nest two levels per SP-tree level, so they are the deepest
+    /// documents the workspace writes; the parser's limit must leave ample
+    /// headroom over every zoo model's request.
+    #[test]
+    fn zoo_requests_nest_well_below_the_parser_limit() {
+        let mut models = vec![
+            zoo::mmt(&MmtConfig::default()),
+            zoo::dlrm(&DlrmConfig::default()),
+            zoo::candle_uno(&CandleUnoConfig::full()),
+            zoo::moe(&MoeConfig::default()),
+            zoo::case_study(&MmtConfig::default()),
+            zoo::sequential_transformer(4, &MmtConfig::tiny()),
+            zoo::gpt2(&zoo::Gpt2Config::tiny()),
+            zoo::gnn_pipe(&zoo::GnnPipeConfig::tiny()),
+        ];
+        models.extend(zoo_requests().into_iter().map(|r| (*r.model).clone()));
+        let deepest = models
+            .into_iter()
+            .map(|model| {
+                let request = PlanRequest::new(Arc::new(model), Cluster::summit_like(8), 64);
+                depth(&Json::parse(&encode_request(&request, None)).unwrap())
+            })
+            .max()
+            .unwrap();
+        assert!(
+            deepest * 8 <= gp_serve::json::MAX_DEPTH,
+            "deepest request nests {deepest} levels"
+        );
     }
 }

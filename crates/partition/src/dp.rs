@@ -44,23 +44,28 @@
 //!   subproblem owns a precomputed *slot* (chains: one per suffix;
 //!   branches: one per `[from, to)` range), and each slot holds dense
 //!   `[d - 1] -> FragId` columns per interned `DownId`. Lookups are pure
-//!   indexing; `reset` between binary-search probes is dropping the state
-//!   wholesale;
-//! * the per-chain prefix-time / static-cost caches are flat arrays
-//!   indexed by `NodeIdx` (× micro-batch candidate), and op-membership
-//!   tests use a stamped scratch array instead of per-call hash sets.
+//!   indexing, and each DP run starts from an empty memo;
+//! * everything that does not depend on a probe's target — the arena, the
+//!   per-chain prefix-time / static-cost arrays (flat, indexed by
+//!   `NodeIdx` × micro-batch size), the branch times and the generic
+//!   segment aggregates — lives in one [`CostTables`] per search, reused
+//!   by every DP run of that search; op-membership tests use a stamped
+//!   scratch array in it instead of per-call hash sets.
 //!
 //! # Determinism & the parallel search
 //!
 //! A single DP run is a pure function of `(graph, cost, SP tree, t_max,
 //! micro-batch candidates, eval budget)`: candidate enumeration order,
-//! tie-breaking, and `Down` interning order are all fixed, and the run
-//! shares no state with other runs. The binary search's probe *sequence*
-//! is in turn a deterministic function of per-probe feasibility. The
-//! parallel planner ([`crate::ParallelPlanner`]) exploits exactly this: it
-//! speculatively evaluates probe targets (the geometric bracket ladder,
-//! plus the upcoming midpoints of the bisection's decision tree) and
-//! micro-batch configurations on scoped worker threads, then **replays the
+//! tie-breaking, and `Down` interning order are all fixed, and the only
+//! state it shares with other runs is its [`CostTables`], whose entries
+//! are pure functions of the node they describe — so a run's result does
+//! not depend on which runs filled them first. The binary search's probe
+//! *sequence* is in turn a deterministic function of per-probe
+//! feasibility. The parallel planner ([`crate::ParallelPlanner`])
+//! exploits exactly this: it speculatively evaluates probe targets (the
+//! geometric bracket ladder, plus the upcoming midpoints of the
+//! bisection's decision tree) and micro-batch configurations on scoped
+//! worker threads, each with its own tables, then **replays the
 //! sequential probe order**, consuming speculative results instead of
 //! computing them. Merged [`SearchStats`] counters are accumulated in
 //! replay order, so the returned [`Plan`] — strategy *and* deterministic
@@ -484,6 +489,76 @@ struct SegEntry {
     comm: u64,
 }
 
+/// The probe-independent cost tables of one planner search: the SP arena,
+/// with every absorbed-chain variant any run has created, and the pure
+/// per-node aggregates the DP reads from it. Nothing here depends on a
+/// probe's `t_max` or on a run's own candidate list — per-micro-batch
+/// entries are indexed by the size's position in [`SearchCtx::b_all`] —
+/// so every DP run of a search reuses one set. The arena is append-only
+/// and `absorbed_chain` dedupes variants by key, so a `NodeIdx` names the
+/// same node for the whole life of the tables, which is what keeps the
+/// node-keyed entries valid across runs. A set is owned by one thread at
+/// a time: the speculative provider keeps one per worker.
+pub(crate) struct CostTables {
+    arena: Arena,
+    /// `SearchCtx::b_all`: column `j` of every per-micro-batch table holds
+    /// size `b_all[j]`.
+    b_all: Vec<u64>,
+    /// Per-node chain statics (`None` until computed).
+    chain_static: Vec<Option<Box<ChainStatic>>>,
+    /// Per-(node, micro-batch) prefix of element fwd+bwd times for one
+    /// micro-batch, at `node * b_all.len() + column`.
+    chain_time: Vec<Option<Box<[f64]>>>,
+    /// Per-(branches node, micro-batch) prefix of per-branch times, laid
+    /// out like `chain_time`; runs read it at their `bound_b`.
+    branch_time: Vec<Option<Box<[f64]>>>,
+    /// Stamped op-membership scratch (replaces per-call bitmaps).
+    member_stamp: Vec<u64>,
+    cur_stamp: u64,
+    /// Generic-segment aggregate memo, keyed by packed `(node, s, e)`.
+    seg_cache: FastMap<u64, SegEntry>,
+}
+
+impl CostTables {
+    pub(crate) fn new(ctx: &SearchCtx<'_>) -> CostTables {
+        let mut tables = CostTables {
+            arena: Arena::build(ctx.root),
+            b_all: ctx.b_all.clone(),
+            chain_static: Vec::new(),
+            chain_time: Vec::new(),
+            branch_time: Vec::new(),
+            member_stamp: vec![0; ctx.graph.len()],
+            cur_stamp: 0,
+            seg_cache: FastMap::default(),
+        };
+        tables.sync_arena();
+        tables
+    }
+
+    /// Extends the per-node tables to cover every arena node.
+    fn sync_arena(&mut self) {
+        let nodes = self.arena.nodes.len();
+        self.chain_static.resize_with(nodes, || None);
+        self.chain_time
+            .resize_with(nodes * self.b_all.len(), || None);
+        self.branch_time
+            .resize_with(nodes * self.b_all.len(), || None);
+    }
+
+    /// [`Arena::absorbed_chain`], with the tables grown to match.
+    fn absorbed_chain(
+        &mut self,
+        branches: NodeIdx,
+        chain: NodeIdx,
+        tail_s: usize,
+        tail_e: usize,
+    ) -> NodeIdx {
+        let idx = self.arena.absorbed_chain(branches, chain, tail_s, tail_e);
+        self.sync_arena();
+        idx
+    }
+}
+
 /// Reusable window buffers for the column passes of the chain split loop
 /// (`solve_chain` option D). Pooled because the fill pass recurses into
 /// `solve_chain`, which needs its own set.
@@ -504,35 +579,27 @@ struct SplitScratch {
 struct Dp<'a> {
     graph: &'a Graph,
     cost: &'a CostModel,
-    arena: Arena,
+    /// The search's shared, probe-independent tables.
+    tables: &'a mut CostTables,
     mini_batch: u64,
     t_max: f64,
     mem_budget: u64,
     b_cands: Vec<u64>,
+    /// `b_slot[bi]`: the position of `b_cands[bi]` in `SearchCtx::b_all`,
+    /// i.e. its column in the shared tables.
+    b_slot: Vec<usize>,
     k_cands: Vec<u64>,
     /// Largest micro-batch candidate: at it, per-sample compute time is
     /// minimal, making work-conservation bounds sound for every candidate.
     bound_b: u64,
-    /// Index of `bound_b` in `b_cands`.
-    bound_bi: usize,
+    /// Position of `bound_b` in `SearchCtx::b_all`.
+    bound_slot: usize,
     downs: Vec<Down>,
     down_ids: FastMap<Down, DownId>,
     frags: Vec<Frag>,
     memo: MemoTable,
     /// First memo slot of each arena node.
     slot_base: Vec<u32>,
-    /// Per-node chain statics (`None` until computed).
-    chain_static: Vec<Option<Box<ChainStatic>>>,
-    /// Per-(node, b-candidate) prefix of element fwd+bwd times for one
-    /// micro-batch, at `node * b_cands.len() + b_index`.
-    chain_time: Vec<Option<Box<[f64]>>>,
-    /// Per-branches-node prefix of per-branch times at `bound_b`.
-    branch_time: Vec<Option<Box<[f64]>>>,
-    /// Stamped op-membership scratch (replaces per-call bitmaps).
-    member_stamp: Vec<u64>,
-    cur_stamp: u64,
-    /// Generic-segment aggregate memo, keyed by packed `(node, s, e)`.
-    seg_cache: FastMap<u64, SegEntry>,
     /// Head-stage TPS memo: packed `(node, s, e)` → `[bi][d_head]` row
     /// (NaN until computed). A head candidate's TPS depends only on the
     /// segment, the micro-batch size and the head device count — not on
@@ -552,6 +619,8 @@ struct Dp<'a> {
     beam_width: Option<u32>,
     beam_prunes: u64,
     eval_batches: u64,
+    /// Shared-table entries this run had to compute (telemetry only).
+    table_misses: u64,
     /// Pool of window buffers for the chain split loop's column passes.
     scratch_pool: Vec<SplitScratch>,
     /// Reusable per-candidate buffers for `eval_candidates` (taken with
@@ -561,31 +630,43 @@ struct Dp<'a> {
 }
 
 impl<'a> Dp<'a> {
-    fn new(ctx: &'a SearchCtx<'a>, t_max: f64, b_cands: Vec<u64>, budget: u64) -> Dp<'a> {
+    fn new(
+        ctx: &'a SearchCtx<'a>,
+        tables: &'a mut CostTables,
+        t_max: f64,
+        b_cands: Vec<u64>,
+        budget: u64,
+    ) -> Dp<'a> {
+        let slot_of = |b: u64| {
+            tables
+                .b_all
+                .iter()
+                .position(|&x| x == b)
+                .expect("micro-batch size comes from the search's candidate list")
+        };
+        let b_slot: Vec<usize> = b_cands.iter().map(|&b| slot_of(b)).collect();
         let bound_b = b_cands.iter().copied().max().unwrap_or(1);
-        let bound_bi = b_cands.iter().position(|&b| b == bound_b).unwrap_or(0);
+        let bound_slot = b_cands
+            .iter()
+            .position(|&b| b == bound_b)
+            .map_or(0, |bi| b_slot[bi]);
         let mut dp = Dp {
             graph: ctx.graph,
             cost: &ctx.cost,
-            arena: Arena::build(ctx.root),
+            tables,
             mini_batch: ctx.mini_batch,
             t_max,
             mem_budget: ctx.cost.memory_budget(),
             b_cands,
+            b_slot,
             k_cands: ctx.options.kfkb_candidates.clone(),
             bound_b,
-            bound_bi,
+            bound_slot,
             downs: Vec::new(),
             down_ids: FastMap::default(),
             frags: Vec::new(),
             memo: MemoTable::new(ctx.devices as usize),
             slot_base: Vec::new(),
-            chain_static: Vec::new(),
-            chain_time: Vec::new(),
-            branch_time: Vec::new(),
-            member_stamp: vec![0; ctx.graph.len()],
-            cur_stamp: 0,
-            seg_cache: FastMap::default(),
             tps_cache: FastMap::default(),
             devices: ctx.devices,
             evals: 0,
@@ -598,6 +679,7 @@ impl<'a> Dp<'a> {
             beam_width: ctx.options.beam_width,
             beam_prunes: 0,
             eval_batches: 0,
+            table_misses: 0,
             scratch_pool: Vec::new(),
             cand_costs: Vec::new(),
             cand_tps: Vec::new(),
@@ -607,26 +689,22 @@ impl<'a> Dp<'a> {
         dp
     }
 
-    /// Extends the per-node caches and memo slots after arena growth
-    /// (absorbed chains are appended during solving).
+    /// Extends the memo slots to cover every arena node: the nodes the
+    /// tables already held when the run started, and absorbed chains
+    /// appended during solving.
     fn sync_arena(&mut self) {
-        let b_count = self.b_cands.len().max(1);
-        while self.slot_base.len() < self.arena.nodes.len() {
+        let nodes = &self.tables.arena.nodes;
+        while self.slot_base.len() < nodes.len() {
             let idx = self.slot_base.len();
             let base = match idx {
                 0 => 0,
-                _ => self.slot_base[idx - 1] + node_slot_count(&self.arena.nodes[idx - 1]),
+                _ => self.slot_base[idx - 1] + node_slot_count(&nodes[idx - 1]),
             };
             self.slot_base.push(base);
-            let slots = node_slot_count(&self.arena.nodes[idx]);
+            let slots = node_slot_count(&nodes[idx]);
             for _ in 0..slots {
                 self.memo.rows.push(Vec::new());
             }
-            self.chain_static.push(None);
-            for _ in 0..b_count {
-                self.chain_time.push(None);
-            }
-            self.branch_time.push(None);
         }
     }
 
@@ -667,7 +745,7 @@ impl<'a> Dp<'a> {
 
     /// Global memo slot of a branch interval `[from..to)`.
     fn branch_slot(&self, branches: NodeIdx, from: u16, to: u16) -> u32 {
-        let m = self.arena.children(branches).len() as u16;
+        let m = self.tables.arena.children(branches).len() as u16;
         self.slot_base[branches as usize] + range_slot(m, from, to)
     }
 
@@ -695,14 +773,16 @@ impl<'a> Dp<'a> {
     // -------------------------------------------------- segment metrics --
 
     fn ensure_chain_static(&mut self, chain: NodeIdx) {
-        if self.chain_static[chain as usize].is_some() {
+        if self.tables.chain_static[chain as usize].is_some() {
             return;
         }
-        let n = self.arena.children(chain).len();
+        self.table_misses += 1;
+        let arena = &self.tables.arena;
+        let n = arena.children(chain).len();
         let mut elem_of: HashMap<OpId, usize> = HashMap::new();
         for i in 0..n {
-            let c = self.arena.children(chain)[i];
-            for &op in self.arena.node_ops(c) {
+            let c = arena.children(chain)[i];
+            for &op in arena.node_ops(c) {
                 elem_of.insert(op, i);
             }
         }
@@ -712,11 +792,11 @@ impl<'a> Dp<'a> {
         let mut adj = vec![0u64; n + 1];
         let mut simple = true;
         for i in 0..n {
-            let c = self.arena.children(chain)[i];
+            let c = arena.children(chain)[i];
             let mut p = 0u64;
             let mut a = 0u64;
             let mut x = 0u64;
-            for &op in self.arena.node_ops(c) {
+            for &op in arena.node_ops(c) {
                 p += self.graph.node(op).kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
                 a += self.graph.stashed_bytes(op);
                 let bytes = self.graph.node(op).output_bytes();
@@ -738,7 +818,7 @@ impl<'a> Dp<'a> {
             act[i + 1] = act[i] + a;
             ext[i + 1] = ext[i] + x;
         }
-        self.chain_static[chain as usize] = Some(Box::new(ChainStatic {
+        self.tables.chain_static[chain as usize] = Some(Box::new(ChainStatic {
             params,
             act,
             ext,
@@ -747,55 +827,54 @@ impl<'a> Dp<'a> {
         }));
     }
 
-    fn b_index(&self, b: u64) -> usize {
-        self.b_cands
-            .iter()
-            .position(|&x| x == b)
-            .expect("micro-batch size comes from the candidate list")
-    }
-
-    /// Fills the prefix of element fwd+bwd times for `chain` at `b`.
-    fn ensure_chain_time(&mut self, chain: NodeIdx, bi: usize) {
-        let idx = chain as usize * self.b_cands.len().max(1) + bi;
-        if self.chain_time[idx].is_some() {
+    /// Fills the prefix of element fwd+bwd times for `chain` at the
+    /// micro-batch size in table column `slot`.
+    fn ensure_chain_time(&mut self, chain: NodeIdx, slot: usize) {
+        let idx = chain as usize * self.tables.b_all.len() + slot;
+        if self.tables.chain_time[idx].is_some() {
             return;
         }
-        let b = self.b_cands[bi];
-        let n = self.arena.children(chain).len();
+        self.table_misses += 1;
+        let b = self.tables.b_all[slot];
+        let arena = &self.tables.arena;
+        let n = arena.children(chain).len();
         let mut prefix = Vec::with_capacity(n + 1);
         prefix.push(0.0);
         for i in 0..n {
-            let c = self.arena.children(chain)[i];
+            let c = arena.children(chain)[i];
             let mut t = 0.0;
-            for &op in self.arena.node_ops(c) {
+            for &op in arena.node_ops(c) {
                 t += self.cost.op_time(self.graph, op, b, Pass::Forward)
                     + self.cost.op_time(self.graph, op, b, Pass::Backward);
             }
             prefix.push(prefix[i] + t);
         }
-        self.chain_time[idx] = Some(prefix.into_boxed_slice());
+        self.tables.chain_time[idx] = Some(prefix.into_boxed_slice());
     }
 
-    /// Prefix time value for `chain` at micro-batch candidate `bi`
+    /// Prefix time value for `chain` at table column `slot`
     /// (`ensure_chain_time` must have run).
-    fn chain_time_at(&self, chain: NodeIdx, bi: usize, i: usize) -> f64 {
-        self.chain_time[chain as usize * self.b_cands.len().max(1) + bi]
+    fn chain_time_at(&self, chain: NodeIdx, slot: usize, i: usize) -> f64 {
+        self.tables.chain_time[chain as usize * self.tables.b_all.len() + slot]
             .as_ref()
             .expect("chain_time filled")[i]
     }
 
     /// Fills the prefix of per-branch total times (at `bound_b`).
     fn ensure_branch_time(&mut self, branches: NodeIdx) {
-        if self.branch_time[branches as usize].is_some() {
+        let idx = branches as usize * self.tables.b_all.len() + self.bound_slot;
+        if self.tables.branch_time[idx].is_some() {
             return;
         }
-        let n = self.arena.children(branches).len();
+        self.table_misses += 1;
+        let arena = &self.tables.arena;
+        let n = arena.children(branches).len();
         let mut prefix = Vec::with_capacity(n + 1);
         prefix.push(0.0);
         for i in 0..n {
-            let c = self.arena.children(branches)[i];
+            let c = arena.children(branches)[i];
             let mut t = 0.0;
-            for &op in self.arena.node_ops(c) {
+            for &op in arena.node_ops(c) {
                 t += self
                     .cost
                     .op_time(self.graph, op, self.bound_b, Pass::Forward)
@@ -805,126 +884,114 @@ impl<'a> Dp<'a> {
             }
             prefix.push(prefix[i] + t);
         }
-        self.branch_time[branches as usize] = Some(prefix.into_boxed_slice());
+        self.tables.branch_time[idx] = Some(prefix.into_boxed_slice());
     }
 
     fn branch_time_at(&self, branches: NodeIdx, i: usize) -> f64 {
-        self.branch_time[branches as usize]
+        self.tables.branch_time[branches as usize * self.tables.b_all.len() + self.bound_slot]
             .as_ref()
             .expect("branch_time filled")[i]
     }
 
-    /// Cost aggregates of a segment at micro-batch size `b`.
-    fn segment_costs(&mut self, seg: Seg, b: u64) -> SegmentCosts {
+    /// Cost aggregates of a segment at micro-batch candidate `bi`.
+    fn segment_costs(&mut self, seg: Seg, bi: usize) -> SegmentCosts {
         match seg {
             Seg::SimpleChain { chain, s, e } => {
-                let bi = self.b_index(b);
-                self.ensure_chain_time(chain, bi);
-                let stat = self.chain_static[chain as usize]
+                let slot = self.b_slot[bi];
+                self.ensure_chain_time(chain, slot);
+                let stat = self.tables.chain_static[chain as usize]
                     .as_ref()
                     .expect("chain_static filled");
                 let (s, e) = (s as usize, e as usize);
                 let comm =
                     stat.adj[s] + stat.adj[e.min(stat.adj.len() - 1)] + (stat.ext[e] - stat.ext[s]);
                 (
-                    self.chain_time_at(chain, bi, e) - self.chain_time_at(chain, bi, s),
+                    self.chain_time_at(chain, slot, e) - self.chain_time_at(chain, slot, s),
                     stat.params[e] - stat.params[s],
                     stat.act[e] - stat.act[s],
                     comm,
                 )
             }
-            Seg::Generic { node, s, e } => self.generic_aggregates(node, s, e, b),
+            Seg::Generic { node, s, e } => self.generic_aggregates(node, s, e, bi),
         }
     }
 
     /// Generic per-op-set aggregates, for non-chain intervals (merged
     /// branch groups, whole composite nodes, non-simple chains). Uses the
     /// stamped membership scratch: no per-call allocation.
-    fn generic_aggregates(&mut self, node: NodeIdx, s: u16, e: u16, b: u64) -> SegmentCosts {
+    fn generic_aggregates(&mut self, node: NodeIdx, s: u16, e: u16, bi: usize) -> SegmentCosts {
         // Memo first: the same segment is re-aggregated for every
         // `(devices, down-set)` DP state that considers it, and the op walk
         // below dominates the planner's wall clock when it isn't cached.
         let key = (node as u64) << 32 | (s as u64) << 16 | e as u64;
-        let bi = self.b_index(b);
-        if let Some(entry) = self.seg_cache.get(&key) {
-            let time = entry.times[bi];
+        let slot = self.b_slot[bi];
+        if let Some(entry) = self.tables.seg_cache.get(&key) {
+            let time = entry.times[slot];
             if !time.is_nan() {
                 return (time, entry.params, entry.act, entry.comm);
             }
         }
-        self.cur_stamp += 1;
-        let stamp = self.cur_stamp;
+        self.table_misses += 1;
+        let b = self.b_cands[bi];
+        let (graph, cost) = (self.graph, self.cost);
+        let tables = &mut *self.tables;
+        tables.cur_stamp += 1;
+        let stamp = tables.cur_stamp;
         let whole = (s, e) == WHOLE;
         let (cs, ce) = if whole {
-            (0, self.arena.children(node).len())
+            (0, tables.arena.children(node).len())
         } else {
             (s as usize, e as usize)
         };
         // Pass 1: mark members.
         if whole {
-            for &op in self.arena.node_ops(node) {
-                self.member_stamp[op.index()] = stamp;
+            for &op in tables.arena.node_ops(node) {
+                tables.member_stamp[op.index()] = stamp;
             }
         } else {
             for i in cs..ce {
-                let c = self.arena.children(node)[i];
-                for &op in self.arena.node_ops(c) {
-                    self.member_stamp[op.index()] = stamp;
+                let c = tables.arena.children(node)[i];
+                for &op in tables.arena.node_ops(c) {
+                    tables.member_stamp[op.index()] = stamp;
                 }
             }
         }
         // Pass 2: aggregate.
+        let member_stamp = &tables.member_stamp;
         let mut time = 0.0;
         let (mut params, mut act, mut comm) = (0u64, 0u64, 0u64);
-        let visit = |dp: &Self, op: OpId| -> (f64, u64, u64, u64) {
-            let t = dp.cost.op_time(dp.graph, op, b, Pass::Forward)
-                + dp.cost.op_time(dp.graph, op, b, Pass::Backward);
-            let p = dp.graph.node(op).kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
-            let a = dp.graph.stashed_bytes(op);
-            let bytes = dp.graph.node(op).output_bytes();
-            let mut x = 0u64;
-            for &succ in dp.graph.succs(op) {
-                if dp.member_stamp[succ.index()] != stamp {
-                    x += bytes;
+        let mut visit = |op: OpId| {
+            time += cost.op_time(graph, op, b, Pass::Forward)
+                + cost.op_time(graph, op, b, Pass::Backward);
+            params += graph.node(op).kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
+            act += graph.stashed_bytes(op);
+            let bytes = graph.node(op).output_bytes();
+            for &succ in graph.succs(op) {
+                if member_stamp[succ.index()] != stamp {
+                    comm += bytes;
                 }
             }
-            for &pred in dp.graph.preds(op) {
-                if dp.member_stamp[pred.index()] != stamp {
-                    x += dp.graph.node(pred).output_bytes();
+            for &pred in graph.preds(op) {
+                if member_stamp[pred.index()] != stamp {
+                    comm += graph.node(pred).output_bytes();
                 }
             }
-            (t, p, a, x)
         };
         if whole {
-            for i in 0..self.arena.node_ops(node).len() {
-                let op = self.arena.node_ops(node)[i];
-                let (t, p, a, x) = visit(self, op);
-                time += t;
-                params += p;
-                act += a;
-                comm += x;
-            }
+            tables.arena.node_ops(node).iter().for_each(|&op| visit(op));
         } else {
-            for i in cs..ce {
-                let c = self.arena.children(node)[i];
-                for j in 0..self.arena.node_ops(c).len() {
-                    let op = self.arena.node_ops(c)[j];
-                    let (t, p, a, x) = visit(self, op);
-                    time += t;
-                    params += p;
-                    act += a;
-                    comm += x;
-                }
+            for &c in &tables.arena.children(node)[cs..ce] {
+                tables.arena.node_ops(c).iter().for_each(|&op| visit(op));
             }
         }
-        let n_b = self.b_cands.len().max(1);
-        let entry = self.seg_cache.entry(key).or_insert_with(|| SegEntry {
+        let n_b = tables.b_all.len();
+        let entry = tables.seg_cache.entry(key).or_insert_with(|| SegEntry {
             times: vec![f64::NAN; n_b].into_boxed_slice(),
             params,
             act,
             comm,
         });
-        entry.times[bi] = time;
+        entry.times[slot] = time;
         (time, params, act, comm)
     }
 
@@ -943,8 +1010,7 @@ impl<'a> Dp<'a> {
         let mut costs = std::mem::take(&mut self.cand_costs);
         costs.clear();
         for bi in 0..n {
-            let b = self.b_cands[bi];
-            let c = self.segment_costs(seg, b);
+            let c = self.segment_costs(seg, bi);
             costs.push(c);
         }
         let batched = !self.exploded && self.evals + n as u64 <= self.budget;
@@ -1037,7 +1103,7 @@ impl<'a> Dp<'a> {
         down_id: DownId,
     ) -> Option<StageCand> {
         self.ensure_chain_static(chain);
-        let simple = self.chain_static[chain as usize]
+        let simple = self.tables.chain_static[chain as usize]
             .as_ref()
             .expect("chain_static filled")
             .simple;
@@ -1156,7 +1222,7 @@ impl<'a> Dp<'a> {
         if self.exploded {
             return None;
         }
-        match self.arena.node(node) {
+        match self.tables.arena.node(node) {
             ANode::Leaf(_) => {
                 let cand = self.eval_candidates(
                     Seg::Generic {
@@ -1171,7 +1237,7 @@ impl<'a> Dp<'a> {
             }
             ANode::Chain(_) => self.solve_chain(node, 0, d, down_id),
             ANode::Branches(_) => {
-                let m = self.arena.children(node).len() as u16;
+                let m = self.tables.arena.children(node).len() as u16;
                 let slot = self.branch_slot(node, 0, m);
                 if let Some(cached) = self.memo_get(slot, down_id, d) {
                     return cached;
@@ -1198,10 +1264,10 @@ impl<'a> Dp<'a> {
         if let Some(cached) = self.memo_get(slot, down_id, d) {
             return cached;
         }
-        let n = self.arena.children(chain).len() as u16;
+        let n = self.tables.arena.children(chain).len() as u16;
         debug_assert!(start < n);
-        self.ensure_chain_time(chain, self.bound_bi);
-        let bi = self.bound_bi;
+        let bi = self.bound_slot;
+        self.ensure_chain_time(chain, bi);
         // Work bound: the whole suffix must fit d devices at the target.
         let suffix_time = self.chain_time_at(chain, bi, n as usize)
             - self.chain_time_at(chain, bi, start as usize);
@@ -1219,8 +1285,8 @@ impl<'a> Dp<'a> {
         }
         // Option B: the suffix is a single composite element — delegate.
         if n - start == 1 {
-            let child = self.arena.children(chain)[start as usize];
-            if !self.arena.is_leaf(child) {
+            let child = self.tables.arena.children(chain)[start as usize];
+            if !self.tables.arena.is_leaf(child) {
                 if let Some(f) = self.solve(child, d, down_id) {
                     self.consider(f, &mut best, &mut best_score);
                 }
@@ -1244,7 +1310,7 @@ impl<'a> Dp<'a> {
         // window order so tie-breaking matches the per-split loop it
         // replaces (DESIGN.md §"Planner search").
         self.ensure_chain_static(chain);
-        let simple = self.chain_static[chain as usize]
+        let simple = self.tables.chain_static[chain as usize]
             .as_ref()
             .expect("chain_static filled")
             .simple;
@@ -1344,7 +1410,7 @@ impl<'a> Dp<'a> {
             let seg_key = seg.key();
             for bi_c in 0..n_b {
                 let b = self.b_cands[bi_c];
-                let (seg_time, params, act, comm) = self.segment_costs(seg, b);
+                let (seg_time, params, act, comm) = self.segment_costs(seg, bi_c);
                 let m = (self.mini_batch / b).max(1);
                 let comm_term = comm as f64 / link.bandwidth;
                 let lat_term = 2.0 * link.latency / b as f64;
@@ -1420,8 +1486,8 @@ impl<'a> Dp<'a> {
             // evolving best-score tie-breaking matches the exhaustive
             // per-split loop.
             let d2_child = if mid == start + 1 {
-                let child = self.arena.children(chain)[start as usize];
-                self.arena.is_branches(child).then_some(child)
+                let child = self.tables.arena.children(chain)[start as usize];
+                self.tables.arena.is_branches(child).then_some(child)
             } else {
                 None
             };
@@ -1495,11 +1561,11 @@ impl<'a> Dp<'a> {
         if e <= s + 1 {
             return false;
         }
-        let children = self.arena.children(chain);
-        self.arena.is_branches(children[s as usize])
+        let children = self.tables.arena.children(chain);
+        self.tables.arena.is_branches(children[s as usize])
             && children[s as usize + 1..e as usize]
                 .iter()
-                .all(|&c| self.arena.is_leaf(c))
+                .all(|&c| self.tables.arena.is_leaf(c))
     }
 
     /// Parallel decomposition with the trailing join operators folded into
@@ -1516,15 +1582,15 @@ impl<'a> Dp<'a> {
         if d < 2 {
             return None;
         }
-        let branches = self.arena.children(chain)[s as usize];
-        let m = self.arena.children(branches).len() as u16;
+        let branches = self.tables.arena.children(chain)[s as usize];
+        let m = self.tables.arena.children(branches).len() as u16;
         let absorbed = self
-            .arena
+            .tables
             .absorbed_chain(branches, chain, s as usize + 1, e as usize);
         self.sync_arena();
-        self.ensure_chain_time(absorbed, self.bound_bi);
-        let last_len = self.arena.children(absorbed).len();
-        let last_time = self.chain_time_at(absorbed, self.bound_bi, last_len);
+        self.ensure_chain_time(absorbed, self.bound_slot);
+        let last_len = self.tables.arena.children(absorbed).len();
+        let last_time = self.chain_time_at(absorbed, self.bound_slot, last_len);
         self.ensure_branch_time(branches);
         let others_time = self.branch_time_at(branches, (m - 1) as usize);
         let d_last_min = self.min_devices(last_time);
@@ -1585,7 +1651,7 @@ impl<'a> Dp<'a> {
             return None;
         }
         if to - from == 1 {
-            let child = self.arena.children(branches)[from as usize];
+            let child = self.tables.arena.children(branches)[from as usize];
             return self.solve(child, d, down_id);
         }
         let slot = self.branch_slot(branches, from, to);
@@ -1660,11 +1726,11 @@ impl<'a> Dp<'a> {
     /// Resolves a proto-stage's op interval into concrete operator ids.
     fn resolve_ops(&self, node: NodeIdx, s: u16, e: u16) -> Vec<OpId> {
         if (s, e) == WHOLE {
-            return self.arena.node_ops(node).to_vec();
+            return self.tables.arena.node_ops(node).to_vec();
         }
-        self.arena.children(node)[s as usize..e as usize]
+        self.tables.arena.children(node)[s as usize..e as usize]
             .iter()
-            .flat_map(|&c| self.arena.node_ops(c).iter().copied())
+            .flat_map(|&c| self.tables.arena.node_ops(c).iter().copied())
             .collect()
     }
 
@@ -1699,7 +1765,7 @@ impl<'a> Dp<'a> {
 // ----------------------------------------------------- search primitives --
 
 /// A solved stage of a finished DP run, with ops resolved.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SolvedStage {
     pub(crate) ops: Vec<OpId>,
     pub(crate) d: u32,
@@ -1708,7 +1774,7 @@ pub(crate) struct SolvedStage {
 }
 
 /// The owned, thread-transferable result of one successful DP run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Solution {
     pub(crate) stages: Vec<SolvedStage>,
     pub(crate) peak_mem: u64,
@@ -1729,7 +1795,7 @@ impl Solution {
 /// The outcome of one DP run (one micro-batch configuration at one probe
 /// target), including its budget so the replay can decide whether the run
 /// is valid for the sequential budget trajectory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RunResult {
     pub(crate) solution: Option<Solution>,
     pub(crate) evals: u64,
@@ -1753,6 +1819,9 @@ pub(crate) struct SearchCtx<'a> {
     pub(crate) mini_batch: u64,
     pub(crate) b_all: Vec<u64>,
     pub(crate) options: &'a PlanOptions,
+    /// Telemetry handle (inert by default): search spans and per-run
+    /// histograms. Write-only — never read back into the plan.
+    pub(crate) telemetry: Telemetry,
     /// Work-conservation lower bound on the achievable TPS.
     t_base: f64,
     /// Loosest target worth probing (`cost.max_tps` of the whole model).
@@ -1791,6 +1860,7 @@ impl<'a> SearchCtx<'a> {
             mini_batch,
             b_all,
             options,
+            telemetry: Telemetry::disabled(),
             t_base,
             t_hi0,
         })
@@ -1847,11 +1917,22 @@ impl<'a> SearchCtx<'a> {
 }
 
 /// Runs one DP to completion: one `(t_max, micro-batch candidates)`
-/// configuration under `budget` evals.
-pub(crate) fn run_dp(ctx: &SearchCtx<'_>, t_max: f64, b_cands: Vec<u64>, budget: u64) -> RunResult {
-    let mut dp = Dp::new(ctx, t_max, b_cands, budget);
-    let root = dp.arena.root;
+/// configuration under `budget` evals, reading and filling the search's
+/// shared `tables`.
+pub(crate) fn run_dp(
+    ctx: &SearchCtx<'_>,
+    tables: &mut CostTables,
+    t_max: f64,
+    b_cands: Vec<u64>,
+    budget: u64,
+) -> RunResult {
+    let mut dp = Dp::new(ctx, tables, t_max, b_cands, budget);
+    let root = dp.tables.arena.root;
     let sol = dp.solve(root, ctx.devices, 0);
+    // Write-only: how much of the shared tables this run had to fill.
+    // Never read back into `SearchStats` or the artifact.
+    ctx.telemetry
+        .record("planner.cost_table_misses", dp.table_misses);
     RunResult {
         solution: sol.map(|id| dp.extract(id)),
         evals: dp.evals,
@@ -1898,6 +1979,7 @@ pub(crate) trait ProbeProvider {
 /// speculative.
 struct SequentialProvider<'c, 'a> {
     ctx: &'c SearchCtx<'a>,
+    tables: CostTables,
 }
 
 impl ProbeProvider for SequentialProvider<'_, '_> {
@@ -1911,7 +1993,13 @@ impl ProbeProvider for SequentialProvider<'_, '_> {
         let mut used = 0u64;
         let mut runs = Vec::with_capacity(specs.len());
         for b_cands in specs {
-            let run = run_dp(self.ctx, t, b_cands, remaining.saturating_sub(used));
+            let run = run_dp(
+                self.ctx,
+                &mut self.tables,
+                t,
+                b_cands,
+                remaining.saturating_sub(used),
+            );
             used += run.evals;
             let exploded = run.exploded;
             runs.push(run);
@@ -1935,7 +2023,6 @@ fn replay_probe(
     runs: Vec<RunResult>,
     stats: &mut SearchStats,
     evals_used: &mut u64,
-    telemetry: &Telemetry,
 ) -> Result<Option<Solution>, PlanError> {
     stats.binary_iters += 1;
     let (specs, filtered) = ctx.run_specs(t);
@@ -1953,7 +2040,10 @@ fn replay_probe(
         stats.configs_tried += 1;
         let remaining = ctx.options.eval_budget.saturating_sub(*evals_used);
         let run = if (run.exploded || run.evals > remaining) && run.budget != remaining {
-            run_dp(ctx, t, b_cands, remaining)
+            // Only speculative runs get here, and only near budget
+            // exhaustion: fresh tables keep this path free of the
+            // provider's per-thread sets.
+            run_dp(ctx, &mut CostTables::new(ctx), t, b_cands, remaining)
         } else {
             run
         };
@@ -1961,7 +2051,7 @@ fn replay_probe(
         stats.dp_evals += run.evals;
         // Histogram of work per DP invocation: data-valued (eval counts,
         // not times), so its contents are themselves deterministic.
-        telemetry.record("planner.dp_evals_per_run", run.evals);
+        ctx.telemetry.record("planner.dp_evals_per_run", run.evals);
         stats.dp_states = stats.dp_states.max(run.distinct_states);
         stats.memo_hits += run.memo_hits;
         stats.memo_misses += run.memo_misses;
@@ -2019,8 +2109,8 @@ pub(crate) fn drive_search(
     provider: &mut dyn ProbeProvider,
     warm: Option<&WarmStart>,
     clock: &ClockHandle,
-    telemetry: &Telemetry,
 ) -> Result<(Solution, SearchStats), PlanError> {
+    let telemetry = &ctx.telemetry;
     let mut stats = SearchStats::default();
     let mut evals_used = 0u64;
     let epsilon = ctx.options.epsilon;
@@ -2051,7 +2141,7 @@ pub(crate) fn drive_search(
             let remaining = ctx.options.eval_budget.saturating_sub(evals_used);
             let probe = telemetry.span_with("search.probe", stats.binary_iters as u64 + 1);
             let runs = provider.take(t, remaining);
-            let result = replay_probe(ctx, t, runs, &mut stats, &mut evals_used, telemetry);
+            let result = replay_probe(ctx, t, runs, &mut stats, &mut evals_used);
             drop(probe);
             best = result?;
             if best.is_none() {
@@ -2072,7 +2162,7 @@ pub(crate) fn drive_search(
             let remaining = ctx.options.eval_budget.saturating_sub(evals_used);
             let probe = telemetry.span_with("search.probe", stats.binary_iters as u64 + 1);
             let runs = provider.take(t, remaining);
-            let result = replay_probe(ctx, t, runs, &mut stats, &mut evals_used, telemetry);
+            let result = replay_probe(ctx, t, runs, &mut stats, &mut evals_used);
             drop(probe);
             match result? {
                 Some(sol) => {
@@ -2107,7 +2197,7 @@ pub(crate) fn drive_search(
                 let remaining = ctx.options.eval_budget.saturating_sub(evals_used);
                 let probe = telemetry.span_with("search.probe", stats.binary_iters as u64 + 1);
                 let runs = provider.take(t_m, remaining);
-                let result = replay_probe(ctx, t_m, runs, &mut stats, &mut evals_used, telemetry);
+                let result = replay_probe(ctx, t_m, runs, &mut stats, &mut evals_used);
                 drop(probe);
                 match result? {
                     Some(sol) => {
@@ -2272,29 +2362,21 @@ impl Planner for GraphPipePlanner {
     fn plan(&self, model: &SpModel, cluster: &Cluster, mini_batch: u64) -> Result<Plan, PlanError> {
         let _search_span = self.telemetry.span("planner.search");
         let start = self.clock.now_nanos();
-        let ctx = SearchCtx::new(model, cluster, mini_batch, &self.options)?;
+        let mut ctx = SearchCtx::new(model, cluster, mini_batch, &self.options)?;
+        ctx.telemetry = self.telemetry.clone();
         let (solution, stats) = if self.options.parallelism > 1 {
             let mut provider = crate::parallel::SpeculativeProvider::new(
                 &ctx,
                 self.options.parallelism,
                 self.warm.as_ref().and_then(|w| w.micro_batch),
             );
-            drive_search(
-                &ctx,
-                &mut provider,
-                self.warm.as_ref(),
-                &self.clock,
-                &self.telemetry,
-            )?
+            drive_search(&ctx, &mut provider, self.warm.as_ref(), &self.clock)?
         } else {
-            let mut provider = SequentialProvider { ctx: &ctx };
-            drive_search(
-                &ctx,
-                &mut provider,
-                self.warm.as_ref(),
-                &self.clock,
-                &self.telemetry,
-            )?
+            let mut provider = SequentialProvider {
+                ctx: &ctx,
+                tables: CostTables::new(&ctx),
+            };
+            drive_search(&ctx, &mut provider, self.warm.as_ref(), &self.clock)?
         };
         let finalize_start = self.clock.now_nanos();
         let _finalize_span = self.telemetry.span("planner.finalize");
@@ -2340,6 +2422,7 @@ mod tests {
         // worker thread. (Compile-time check.)
         fn assert_send<T: Send>() {}
         assert_send::<Dp<'static>>();
+        assert_send::<CostTables>();
         assert_send::<RunResult>();
         assert_send::<Solution>();
     }
@@ -2488,7 +2571,8 @@ mod tests {
         let cluster = Cluster::summit_like(2);
         let opts = PlanOptions::default().with_beam_width(4);
         let ctx = SearchCtx::new(&model, &cluster, 16, &opts).unwrap();
-        let mut dp = Dp::new(&ctx, 1.0, vec![1], 1000);
+        let mut tables = CostTables::new(&ctx);
+        let mut dp = Dp::new(&ctx, &mut tables, 1.0, vec![1], 1000);
         // Unbounded: identity.
         dp.beam_width = None;
         assert_eq!(dp.beam_window(1, 63, 10), (1, 63));
@@ -2536,6 +2620,188 @@ mod tests {
             .unwrap();
         assert_eq!(warm_bad.stage_graph, cold.stage_graph);
         assert_eq!(warm_bad.bottleneck_tps, cold.bottleneck_tps);
+    }
+
+    /// Wraps the sequential provider and records every DP run it makes:
+    /// `(t_max, micro-batch candidates, budget, result)`, in search order.
+    struct RecordingProvider<'c, 'a> {
+        inner: SequentialProvider<'c, 'a>,
+        runs: Vec<(f64, Vec<u64>, u64, RunResult)>,
+    }
+
+    impl ProbeProvider for RecordingProvider<'_, '_> {
+        fn take(&mut self, t: f64, remaining: u64) -> Vec<RunResult> {
+            let runs = self.inner.take(t, remaining);
+            let (specs, _) = self.inner.ctx.run_specs(t);
+            for (run, b_cands) in runs.iter().zip(specs) {
+                self.runs.push((t, b_cands, run.budget, run.clone()));
+            }
+            runs
+        }
+    }
+
+    /// Replays the DP runs of a real search in shuffled order, once over
+    /// one shared set of tables and once with fresh tables per run, and
+    /// asserts that both reproduce the search's own results exactly —
+    /// solution and every counter. Shuffling makes the shared arena create
+    /// its absorbed variants in a different order (so under different
+    /// `NodeIdx`s) than the search did. Returns how many absorbed variants
+    /// the shared tables created.
+    fn assert_shared_tables_match_fresh(
+        model: &SpModel,
+        devices: usize,
+        mini_batch: u64,
+        opts: &PlanOptions,
+    ) -> usize {
+        let cluster = Cluster::summit_like(devices);
+        let ctx = SearchCtx::new(model, &cluster, mini_batch, opts).unwrap();
+        let mut recorder = RecordingProvider {
+            inner: SequentialProvider {
+                ctx: &ctx,
+                tables: CostTables::new(&ctx),
+            },
+            runs: Vec::new(),
+        };
+        drive_search(&ctx, &mut recorder, None, &ClockHandle::default()).unwrap();
+        let mut runs = recorder.runs;
+        assert!(
+            runs.len() > 1,
+            "{}: search made {} runs",
+            model.name(),
+            runs.len()
+        );
+        // Deterministic Fisher-Yates shuffle (64-bit LCG).
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..runs.len()).rev() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            runs.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let mut shared = CostTables::new(&ctx);
+        let tree_nodes = shared.arena.nodes.len();
+        for (t, b_cands, budget, recorded) in &runs {
+            let fresh = run_dp(
+                &ctx,
+                &mut CostTables::new(&ctx),
+                *t,
+                b_cands.clone(),
+                *budget,
+            );
+            let reused = run_dp(&ctx, &mut shared, *t, b_cands.clone(), *budget);
+            let name = model.name();
+            assert_eq!(
+                &fresh, recorded,
+                "{name}: fresh tables, t={t}, b={b_cands:?}"
+            );
+            assert_eq!(
+                &reused, recorded,
+                "{name}: shared tables, t={t}, b={b_cands:?}"
+            );
+        }
+        shared.arena.nodes.len() - tree_nodes
+    }
+
+    #[test]
+    fn shared_cost_tables_reproduce_fresh_runs_on_absorbed_joins() {
+        let opts = PlanOptions::default();
+        let candle = zoo::candle_uno(&CandleUnoConfig::default());
+        assert!(assert_shared_tables_match_fresh(&candle, 8, 1024, &opts) > 0);
+        let gnn = zoo::gnn_pipe(&zoo::GnnPipeConfig::tiny());
+        assert!(assert_shared_tables_match_fresh(&gnn, 4, 64, &opts) > 0);
+        // Per-stage micro-batches: runs over candidate subsets, so the
+        // tables' columns are reached through varying `b_slot` maps.
+        let per_stage = PlanOptions {
+            per_stage_micro_batch: true,
+            ..PlanOptions::default()
+        };
+        assert_shared_tables_match_fresh(&candle, 8, 1024, &per_stage);
+    }
+
+    /// A random layered DAG (the `tests/dag_properties.rs` shape): `picks`
+    /// intermediate ops, each a `linear` on one earlier node or an `Add`
+    /// of several, with every dangling output merged into one head.
+    fn random_layered_dag(picks: &[(usize, usize)]) -> gp_ir::Graph {
+        const DIM: usize = 16;
+        let mut b = gp_ir::GraphBuilder::new();
+        let mut nodes = vec![b.input("x", gp_ir::Shape::vector(DIM))];
+        let mut has_succ = vec![false];
+        for (i, &(pick, fan_in)) in picks.iter().enumerate() {
+            let mut preds = Vec::new();
+            for j in 0..fan_in {
+                let k = (pick + j * (pick / 7 + 1)) % nodes.len();
+                if !preds.contains(&nodes[k]) {
+                    preds.push(nodes[k]);
+                    has_succ[k] = true;
+                }
+            }
+            let node = if preds.len() == 1 {
+                b.linear(format!("fc{i}"), preds[0], DIM, true).unwrap()
+            } else {
+                b.op(format!("add{i}"), gp_ir::OpKind::Add, &preds).unwrap()
+            };
+            nodes.push(node);
+            has_succ.push(false);
+        }
+        let dangling: Vec<OpId> = nodes
+            .iter()
+            .zip(&has_succ)
+            .filter(|(_, &s)| !s)
+            .map(|(&n, _)| n)
+            .collect();
+        let tail = if dangling.len() >= 2 {
+            b.op("merge", gp_ir::OpKind::Add, &dangling).unwrap()
+        } else {
+            dangling[0]
+        };
+        let head = b.linear("head", tail, 1, true).unwrap();
+        b.loss("loss", &[head]);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn shared_cost_tables_reproduce_fresh_runs_on_random_dags() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for case in 0..3 {
+            let picks: Vec<(usize, usize)> = (0..10 + 3 * case)
+                .map(|_| (next(997), 1 + next(3)))
+                .collect();
+            let graph = random_layered_dag(&picks);
+            let model = gp_ir::dag::plan_dag(format!("rand{case}"), graph, &Default::default())
+                .expect("generated graphs validate");
+            assert_shared_tables_match_fresh(&model, 4, 32, &PlanOptions::default());
+        }
+    }
+
+    #[test]
+    fn cost_table_misses_are_traced_per_run_and_show_reuse() {
+        let model = zoo::candle_uno(&CandleUnoConfig::default());
+        let cluster = Cluster::summit_like(8);
+        let telemetry = Telemetry::enabled();
+        let mut traced = GraphPipePlanner::new()
+            .with_telemetry(telemetry.clone())
+            .plan(&model, &cluster, 1024)
+            .unwrap();
+        let misses = telemetry.histogram_snapshot("planner.cost_table_misses");
+        // One sample per DP run.
+        assert_eq!(misses.count, u64::from(traced.stats.configs_tried));
+        // Later runs mostly read what earlier ones filled.
+        assert!(misses.max > 0);
+        assert!(
+            misses.sum * 2 < misses.max * misses.count,
+            "little reuse: {misses:?}"
+        );
+        // Write-only: the traced plan equals the untraced one.
+        let mut untraced = plan_for(&model, 8, 1024).unwrap();
+        traced.stats.zero_walls();
+        untraced.stats.zero_walls();
+        assert_eq!(traced, untraced);
     }
 
     #[test]

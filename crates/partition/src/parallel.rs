@@ -16,7 +16,7 @@
 //! fingerprints or the artifact codec; `cargo xtask lint` scans it for
 //! nondeterminism hazards (DESIGN.md §"Determinism lint").
 
-use crate::dp::{run_dp, GraphPipePlanner, ProbeProvider, RunResult, SearchCtx};
+use crate::dp::{run_dp, CostTables, GraphPipePlanner, ProbeProvider, RunResult, SearchCtx};
 use crate::plan::{Plan, PlanError, PlanOptions, Planner, WarmStart};
 use gp_cluster::Cluster;
 use gp_ir::SpModel;
@@ -104,6 +104,9 @@ pub(crate) struct SpeculativeProvider<'c, 'a> {
     ctx: &'c SearchCtx<'a>,
     threads: usize,
     cache: HashMap<u64, Vec<RunResult>>,
+    /// One set of cost tables per worker, kept for the whole search (an
+    /// arena is never shared between threads).
+    tables: Vec<CostTables>,
     /// Micro-batch size a warm start predicted the plan will use. Tasks
     /// whose candidate list contains it are scheduled first — every task
     /// still runs, and results are reassembled in configuration order, so
@@ -121,6 +124,7 @@ impl<'c, 'a> SpeculativeProvider<'c, 'a> {
             ctx,
             threads: threads.max(2),
             cache: HashMap::new(),
+            tables: Vec::new(),
             warm_micro_batch,
         }
     }
@@ -155,7 +159,11 @@ impl<'c, 'a> SpeculativeProvider<'c, 'a> {
             }
             return;
         }
-        let results = run_tasks(self.ctx, &tasks, self.threads);
+        let workers = self.threads.min(tasks.len());
+        while self.tables.len() < workers {
+            self.tables.push(CostTables::new(self.ctx));
+        }
+        let results = run_tasks(self.ctx, &tasks, &mut self.tables[..workers]);
         for (bits, count) in run_counts {
             let mut runs: Vec<Option<RunResult>> = (0..count).map(|_| None).collect();
             for (task, result) in tasks.iter().zip(results.iter()) {
@@ -210,18 +218,20 @@ impl ProbeProvider for SpeculativeProvider<'_, '_> {
     }
 }
 
-/// Runs every task on `threads` scoped workers (work-stealing by atomic
-/// index), returning results in task order.
-fn run_tasks(ctx: &SearchCtx<'_>, tasks: &[Task], threads: usize) -> Vec<RunResult> {
+/// Runs every task on one scoped worker per table set (work-stealing by
+/// atomic index), returning results in task order. A run's result does
+/// not depend on which worker's tables served it.
+fn run_tasks(ctx: &SearchCtx<'_>, tasks: &[Task], tables: &mut [CostTables]) -> Vec<RunResult> {
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<RunResult>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
     let budget = ctx.options.eval_budget;
     crossbeam::thread::scope(|s| {
-        for _ in 0..threads.min(tasks.len()) {
-            s.spawn(|_| loop {
+        for worker_tables in tables.iter_mut() {
+            let (next, slots) = (&next, &slots);
+            s.spawn(move |_| loop {
                 let i = next.fetch_add(1, Ordering::SeqCst);
                 let Some(task) = tasks.get(i) else { break };
-                let result = run_dp(ctx, task.t, task.b_cands.clone(), budget);
+                let result = run_dp(ctx, worker_tables, task.t, task.b_cands.clone(), budget);
                 *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
             });
         }
@@ -240,7 +250,7 @@ fn run_tasks(ctx: &SearchCtx<'_>, tasks: &[Task], threads: usize) -> Vec<RunResu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gp_ir::zoo::{self, CandleUnoConfig, DlrmConfig, MmtConfig, MoeConfig};
+    use gp_ir::zoo::{self, CandleUnoConfig, DlrmConfig, GnnPipeConfig, MmtConfig, MoeConfig};
 
     fn strip_wall(mut plan: Plan) -> Plan {
         plan.stats.zero_walls();
@@ -254,6 +264,9 @@ mod tests {
             (zoo::dlrm(&DlrmConfig::default()), 8, 512),
             (zoo::candle_uno(&CandleUnoConfig::default()), 8, 1024),
             (zoo::moe(&MoeConfig::tiny()), 4, 64),
+            // Absorbed joins: each worker's tables create their own
+            // variants, in whatever order its tasks arrive.
+            (zoo::gnn_pipe(&GnnPipeConfig::tiny()), 4, 64),
         ];
         for (model, devices, mini_batch) in cells {
             let cluster = Cluster::summit_like(devices);

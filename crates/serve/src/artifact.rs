@@ -614,6 +614,18 @@ mod tests {
     }
 
     #[test]
+    fn nesting_bombs_are_typed_errors() {
+        let model = zoo::mlp_chain(2, 8);
+        let bomb = "[".repeat(200 << 10);
+        match decode_plan(&bomb, model.graph(), &Cluster::summit_like(2)) {
+            Err(ArtifactError::Json(e)) => {
+                assert_eq!(e.kind, crate::json::JsonErrorKind::TooDeep)
+            }
+            other => panic!("expected a depth error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn zoo_plans_round_trip_losslessly() {
         let four = Cluster::summit_like(4);
         let eight = Cluster::summit_like(8);

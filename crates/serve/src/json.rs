@@ -19,6 +19,11 @@
 //! Object member order is preserved (objects are association lists), which
 //! keeps encoded artifacts byte-stable.
 //!
+//! The parser recurses once per array/object level, so it refuses input
+//! nested deeper than [`MAX_DEPTH`] with a [`JsonErrorKind::TooDeep`]
+//! error instead of overflowing the stack: wire frames, store files and
+//! artifacts all come from outside the process.
+//!
 //! gp-lint: deterministic — this module's outputs feed plan
 //! fingerprints or the artifact codec; `cargo xtask lint` scans it for
 //! nondeterminism hazards (DESIGN.md §"Determinism lint").
@@ -44,6 +49,15 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// documents this workspace writes are fleet plan requests, whose SP tree
+/// costs two levels per tree level: 9 levels for the zoo's deepest
+/// request (pinned by the fleet protocol's depth test), against 4 for a
+/// plan artifact and 3 for a bench file. 128 leaves room for SP trees
+/// about 60 levels deep while keeping the parser's recursion far inside
+/// a thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure, with the byte offset where it was detected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -51,6 +65,17 @@ pub struct JsonError {
     pub offset: usize,
     /// What went wrong.
     pub message: String,
+    /// The failure class.
+    pub kind: JsonErrorKind,
+}
+
+/// The class of a [`JsonError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The input is not a well-formed JSON document.
+    Syntax,
+    /// Arrays/objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for JsonError {
@@ -73,7 +98,7 @@ impl Json {
             pos: 0,
         };
         p.skip_ws();
-        let value = p.value()?;
+        let value = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters after document"));
@@ -208,6 +233,7 @@ impl<'a> Parser<'a> {
         JsonError {
             offset: self.pos,
             message: message.into(),
+            kind: JsonErrorKind::Syntax,
         }
     }
 
@@ -243,21 +269,26 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Parses one value that sits inside `depth` arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth >= MAX_DEPTH => Err(JsonError {
+                kind: JsonErrorKind::TooDeep,
+                ..self.err(format!("nesting deeper than {MAX_DEPTH} levels"))
+            }),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.err(format!("unexpected byte 0x{other:02x}"))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -267,7 +298,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -280,7 +311,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -294,7 +325,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             members.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -505,6 +536,26 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::TooDeep);
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Objects count too, and an unterminated bomb never reaches the
+        // end of input before the limit trips.
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert_eq!(
+            Json::parse(&objects).unwrap_err().kind,
+            JsonErrorKind::TooDeep
+        );
+        let bomb = "[".repeat(200 << 10);
+        assert_eq!(Json::parse(&bomb).unwrap_err().kind, JsonErrorKind::TooDeep);
+        // Ordinary malformed input stays a syntax error.
+        assert_eq!(Json::parse("[1,]").unwrap_err().kind, JsonErrorKind::Syntax);
     }
 
     #[test]
