@@ -32,9 +32,7 @@ use crate::worker::{LocalWorker, PlanWorker, RemoteWorker, WorkerFailure};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use gp_obs::{ClockHandle, Histogram, HistogramSnapshot, Telemetry};
 use gp_partition::{Plan, PlanError, WarmStart};
-use gp_serve::fingerprint::{
-    numbering_signature, request_config_fingerprint, request_graph_fingerprint,
-};
+use gp_serve::fingerprint::{request_config_fingerprint, request_graph_fingerprint};
 use gp_serve::{artifact, Fingerprint, PlanRequest, ServeError, ServePlanner};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -401,7 +399,7 @@ impl FleetService {
             }
         };
         let fingerprint = request.fingerprint();
-        let numbering = numbering_signature(request.model.graph());
+        let numbering = request.model.numbering_signature();
 
         // Level 1: the sharded cache.
         if let ShardLookup::Hit(plan) = shared.cache.get(&fingerprint, numbering) {

@@ -20,7 +20,7 @@ use gp_partition::{GraphPipePlanner, PlanError, Planner, WarmStart};
 use gp_serve::{PlanRequest, ServeError, ServePlanner};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -171,6 +171,7 @@ pub struct WorkerServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     served: Arc<AtomicU64>,
+    retained: Arc<AtomicUsize>,
     accept_thread: Option<thread::JoinHandle<()>>,
 }
 
@@ -186,8 +187,10 @@ impl WorkerServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let served = Arc::new(AtomicU64::new(0));
+        let retained = Arc::new(AtomicUsize::new(0));
         let accept_stop = Arc::clone(&stop);
         let accept_served = Arc::clone(&served);
+        let accept_retained = Arc::clone(&retained);
         let accept_thread = thread::Builder::new()
             .name(format!("gp-fleet-worker-{}", addr.port()))
             .spawn(move || {
@@ -196,20 +199,28 @@ impl WorkerServer {
                     if accept_stop.load(Ordering::Acquire) {
                         break;
                     }
+                    // A finished but unjoined thread keeps its stack
+                    // mapped: join those first, so a long-lived worker
+                    // holds one stack per live connection, not one per
+                    // connection ever served.
+                    reap_finished(&mut handlers);
                     let telemetry = telemetry.clone();
                     let served = Arc::clone(&accept_served);
                     handlers.push(thread::spawn(move || {
                         handle_connection(stream, &telemetry, &served);
                     }));
+                    accept_retained.store(handlers.len(), Ordering::Relaxed);
                 }
                 for h in handlers {
                     let _ = h.join();
                 }
+                accept_retained.store(0, Ordering::Relaxed);
             })?;
         Ok(WorkerServer {
             addr,
             stop,
             served,
+            retained,
             accept_thread: Some(accept_thread),
         })
     }
@@ -223,6 +234,13 @@ impl WorkerServer {
     /// envelope).
     pub fn served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
+    }
+
+    /// Handler threads the accept loop still holds: live connections plus
+    /// finished handlers not yet joined (they are joined on the next
+    /// accept).
+    pub fn retained_handlers(&self) -> usize {
+        self.retained.load(Ordering::Relaxed)
     }
 
     /// Stops the accept loop and joins all handler threads. Idempotent;
@@ -243,6 +261,18 @@ impl WorkerServer {
 impl Drop for WorkerServer {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// Joins and drops every handler thread that has already returned.
+fn reap_finished(handlers: &mut Vec<thread::JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handlers.len() {
+        if handlers[i].is_finished() {
+            let _ = handlers.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
     }
 }
 
@@ -346,6 +376,24 @@ mod tests {
             }
             other => panic!("expected Unavailable, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn finished_handlers_are_reaped_between_connections() {
+        let mut server = WorkerServer::bind("127.0.0.1:0", Telemetry::disabled()).unwrap();
+        for _ in 0..200 {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            write_frame(&mut stream, "not a request").unwrap();
+            read_frame(&mut stream).unwrap();
+        }
+        assert_eq!(server.served(), 200);
+        // Each connection is answered before the next one opens, so only
+        // the handlers still winding down when the next accept ran can be
+        // retained; without reaping this would be 200.
+        let retained = server.retained_handlers();
+        assert!(retained <= 32, "{retained} handler threads retained");
+        server.shutdown();
+        assert_eq!(server.retained_handlers(), 0);
     }
 
     #[test]

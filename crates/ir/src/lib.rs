@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 
 pub mod dag;
+pub mod digest;
 mod graph;
 mod op;
 mod shape;

@@ -12,6 +12,7 @@
 //! fingerprints or the artifact codec; `cargo xtask lint` scans it for
 //! nondeterminism hazards (DESIGN.md §"Determinism lint").
 
+use crate::digest::DigestMemo;
 use crate::graph::{Graph, OpId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -236,6 +237,9 @@ pub struct SpModel {
     name: String,
     /// How the tree was obtained from the graph (see [`PlanPath`]).
     path: PlanPath,
+    /// Memoized digests (see [`crate::digest`]); never serialized.
+    #[serde(skip)]
+    memo: DigestMemo,
 }
 
 impl SpModel {
@@ -256,6 +260,7 @@ impl SpModel {
             root,
             name: name.into(),
             path: PlanPath::ExactSp,
+            memo: DigestMemo::default(),
         })
     }
 
@@ -275,6 +280,7 @@ impl SpModel {
             root,
             name: name.into(),
             path,
+            memo: DigestMemo::default(),
         }
     }
 
@@ -284,6 +290,9 @@ impl SpModel {
     /// model fingerprint whenever it is not [`PlanPath::ExactSp`].
     pub fn with_path(mut self, path: PlanPath) -> Self {
         self.path = path;
+        // The path is absorbed into the model digest: drop any memoized
+        // value computed under the old one.
+        self.memo = DigestMemo::default();
         self
     }
 
@@ -306,6 +315,20 @@ impl SpModel {
     /// for hand-authored or exactly recognized trees).
     pub fn path(&self) -> PlanPath {
         self.path
+    }
+
+    /// The canonical model digest ([`crate::digest::model_digest`]),
+    /// computed on first use and memoized: every holder of the same model
+    /// (or a clone of it) reuses the value.
+    pub fn model_digest(&self) -> u128 {
+        self.memo.model(self)
+    }
+
+    /// The numbering signature of the graph
+    /// ([`crate::digest::numbering_signature`]), computed on first use and
+    /// memoized.
+    pub fn numbering_signature(&self) -> u64 {
+        self.memo.numbering(&self.graph)
     }
 
     /// The linearization used by sequential-pipeline baselines: the SP tree's

@@ -7,8 +7,9 @@
 //!
 //! 1. **cache hit** — the LRU ([`crate::PlanCache`]) already holds a
 //!    decoded plan for the fingerprint *and* the recorded
-//!    [`numbering_signature`] matches the request's graph exactly; the
-//!    plan is served without touching the DP planner;
+//!    [`numbering_signature`](SpModel::numbering_signature) matches the
+//!    request's graph exactly; the plan is served without touching the DP
+//!    planner;
 //! 2. **single-flight join** — another request with the same fingerprint
 //!    is already being planned; this request subscribes to its result
 //!    instead of planning again (the worker checks each subscriber's
@@ -31,8 +32,7 @@
 
 use crate::cache::PlanCache;
 use crate::fingerprint::{
-    numbering_signature, request_config_fingerprint, request_fingerprint,
-    request_graph_fingerprint, Fingerprint,
+    request_config_fingerprint, request_fingerprint, request_graph_fingerprint, Fingerprint,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use gp_baselines::{PipeDreamPlanner, PiperPlanner};
@@ -483,10 +483,11 @@ impl PlanService {
     pub fn submit(&self, request: PlanRequest) -> PlanTicket {
         let fingerprint = request.fingerprint();
         // Order-sensitive identity of this request's graph numbering —
-        // computed once (O(graph), no locks); a cached plan is served only
-        // when its recorded numbering matches exactly, since plans carry
-        // raw operator ids while the fingerprint is renumbering-invariant.
-        let numbering = numbering_signature(request.model.graph());
+        // memoized on the model, like the fingerprint's model digest; a
+        // cached plan is served only when its recorded numbering matches
+        // exactly, since plans carry raw operator ids while the
+        // fingerprint is renumbering-invariant.
+        let numbering = request.model.numbering_signature();
         let counters = &self.shared.counters;
         counters.requests.fetch_add(1, Ordering::Relaxed);
         // 0 when telemetry is disabled: the disabled path never reads the
@@ -671,7 +672,7 @@ fn worker_loop(shared: &Shared, rx: &Receiver<Job>) {
     while let Ok(job) = rx.recv() {
         shared.record_since("serve.queue_wait_ns", job.submitted_ns);
         let reply = run_planner(shared, &job.request);
-        let numbering = numbering_signature(job.request.model.graph());
+        let numbering = job.request.model.numbering_signature();
         // Publish to the cache and collect subscribers under the in-flight
         // lock (same order as `submit`: inflight, then cache) so that no
         // concurrent submit can both miss the cache and miss the in-flight
@@ -689,13 +690,11 @@ fn worker_loop(shared: &Shared, rx: &Receiver<Job>) {
         // Fan out, re-validating per subscriber: a joiner shares the
         // fingerprint but may hold an isomorphic-yet-renumbered model (or a
         // colliding request), for which this plan's OpIds would be wrong.
-        // Waiters sharing the job's model object skip the O(graph) check.
+        // The waiter's signature was memoized by its own `submit`.
         for (waiter_request, waiter_tx) in waiters {
             let resp = match &reply {
                 Ok(plan) => {
-                    if Arc::ptr_eq(&waiter_request.model, &job.request.model)
-                        || numbering_signature(waiter_request.model.graph()) == numbering
-                    {
+                    if waiter_request.model.numbering_signature() == numbering {
                         Ok(Arc::clone(plan))
                     } else {
                         shared

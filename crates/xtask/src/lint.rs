@@ -50,6 +50,7 @@ const REQUIRED_TAGGED: &[&str] = &[
     "crates/baselines/src/piper.rs",
     "crates/ir/src/graph.rs",
     "crates/ir/src/sp.rs",
+    "crates/ir/src/digest.rs",
 ];
 
 /// Hazard token and why it endangers determinism.

@@ -13,6 +13,7 @@
 //!   equals an independent recomputation of the added transit volume.
 
 use gp_ir::dag::{edge_cover_violations, plan_dag, recognize, transit_volume, DagOptions};
+use gp_ir::digest;
 use gp_ir::{zoo, Graph, GraphBuilder, OpKind, PlanPath, Shape, SpModel};
 use gp_serve::fingerprint::{model_fingerprint, request_fingerprint};
 use graphpipe::prelude::*;
@@ -172,6 +173,29 @@ proptest! {
                 // graphs; tested separately below.
                 prop_assert!(false, "tiny graphs never exceed the default budget");
             }
+        }
+    }
+
+    /// The digests memoized on a laddered model equal the uncached
+    /// computation, whichever rung the ladder lands on.
+    #[test]
+    fn memoized_digests_match_uncached_on_random_dags(
+        picks in proptest::collection::vec((0usize..997, 1usize..4), 1..20),
+        zero_budget in 0u8..2,
+    ) {
+        let graph = build_dag(&picks);
+        let mut opts = DagOptions::default();
+        if zero_budget == 1 {
+            // Forces the clustering rung on every non-SP graph.
+            opts = opts.with_distortion_budget(0);
+        }
+        let model = plan_dag("rand", graph, &opts).expect("generated graphs validate");
+        let digest = digest::model_digest(&model);
+        let numbering = digest::numbering_signature(model.graph());
+        for _ in 0..2 {
+            prop_assert_eq!(model.model_digest(), digest);
+            prop_assert_eq!(model.numbering_signature(), numbering);
+            prop_assert_eq!(model_fingerprint(&model).0, digest);
         }
     }
 
