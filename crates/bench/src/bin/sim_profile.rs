@@ -44,13 +44,16 @@ const MICRO_BATCH: u64 = 4;
 /// The smoke subset: cheap cells with pinned report fingerprints
 /// ([`SimReport::fingerprint`] folds every scalar bit pattern and every
 /// timeline span, so any engine behaviour change shows up as drift here
-/// before the golden table is even consulted).
+/// before the golden table is even consulted). The 64-device cells run one
+/// replica per stage; the 512-device cell replicates each stage 16 ways,
+/// so the replica layout of the task index is pinned too.
 const SMOKE_CELLS: &[(&str, usize, u64, &str)] = &[
     ("mmt", 64, 256, "7e93113acf323336"),
     ("dlrm", 64, 256, "abd1cbb0bea72312"),
     ("candle-uno", 64, 256, "e19b0876c4d64435"),
     ("candle-uno-full", 64, 256, "cc54596f9374a5ac"),
     ("moe", 64, 256, "1b70bd53f50bff2a"),
+    ("moe", 512, 256, "4a198892ade77dbc"),
 ];
 
 struct CellResult {

@@ -19,9 +19,10 @@
 //!   greedy earliest-backward order generation of Algorithm 2;
 //! * [`PipelineSchedule::validate_c4`] — condition C4;
 //! * [`TaskIndex`] — the dense `(stage, micro-batch, pass)` → flat-offset
-//!   map consumers key per-task arenas by (`gp-sim`'s relaxation columns
-//!   are the motivating user; see DESIGN.md §"Scale: the simulator at
-//!   512+ devices").
+//!   map consumers key per-task arenas by, replica-major so each device's
+//!   tasks are contiguous (`gp-sim`'s relaxation columns are the
+//!   motivating user; see DESIGN.md §"Scale: the simulator at 512+
+//!   devices").
 //!
 //! # Examples
 //!

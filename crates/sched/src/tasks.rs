@@ -251,11 +251,16 @@ pub fn schedule_tasks(sg: &StageGraph, inflight: &InFlightTable) -> PipelineSche
 /// Dense index over every task instance `(stage, micro-batch, pass)` of
 /// one training iteration.
 ///
-/// Stages own contiguous index blocks in id order; within a stage, tasks
-/// are laid out `[F(0), B(0), F(1), B(1), ...]`. The index is what lets
-/// per-task state live in flat, preallocated columns instead of hash maps
-/// — `gp-sim`'s relaxation engine keys its completion-time, span, and
-/// watcher arenas by it.
+/// Stages own contiguous index blocks in id order. Within a stage the
+/// block is **replica-major**: replica `r` of a stage with `d` replicas
+/// runs micro-batches `mb % d == r`, and its tasks
+/// `[F(r), B(r), F(r + d), B(r + d), ...]` form one contiguous run, replica
+/// 0 first. Every device's tasks are therefore contiguous, so a per-task
+/// column walked in queue order moves forward through memory; a stage with
+/// one replica is laid out `[F(0), B(0), F(1), B(1), ...]`. The index is
+/// what lets per-task state live in flat, preallocated columns instead of
+/// hash maps — `gp-sim`'s relaxation engine keys its timeline-key column
+/// and its device-queue slab by it.
 ///
 /// # Examples
 ///
@@ -267,63 +272,105 @@ pub fn schedule_tasks(sg: &StageGraph, inflight: &InFlightTable) -> PipelineSche
 ///
 /// let model = zoo::mlp_chain(2, 8);
 /// let ops = model.linearize();
-/// let cluster = Cluster::tiny_test(2);
+/// let cluster = Cluster::tiny_test(3);
 /// let stages = vec![
 ///     Stage { id: StageId(0), ops: ops[..3].to_vec(),
 ///             devices: DeviceRange::new(0, 1), micro_batch: 2, kfkb: 1 },
+///     // Two replicas: device 1 runs micro-batches 0 and 2, device 2 runs 1 and 3.
 ///     Stage { id: StageId(1), ops: ops[3..].to_vec(),
-///             devices: DeviceRange::new(1, 1), micro_batch: 2, kfkb: 1 },
+///             devices: DeviceRange::new(1, 2), micro_batch: 2, kfkb: 1 },
 /// ];
 /// let sg = StageGraph::new(model.graph(), &cluster, stages, 8)?;
 /// let idx = TaskIndex::new(&sg);
 /// assert_eq!(idx.len(), 16); // 2 stages x 4 micro-batches x 2 passes
+/// assert_eq!(idx.stage_tasks(StageId(1)), 8..16);
+/// // Replica 1 of stage 1 owns the second half of the stage's block.
+/// assert_eq!(idx.replica_tasks(StageId(1), 1), 12..16);
+/// assert_eq!(idx.index(StageId(1), 1, Pass::Forward), 12);
 /// let i = idx.index(StageId(1), 3, Pass::Backward);
+/// assert_eq!(i, 15);
 /// assert_eq!(idx.task_at(i), (StageId(1), 3, Pass::Backward));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct TaskIndex {
-    /// `offsets[s]..offsets[s + 1]` is stage `s`'s index block.
-    offsets: Vec<usize>,
+    /// One block per stage, in stage id order.
+    blocks: Vec<StageBlock>,
     total: usize,
+}
+
+/// The index block of one stage: `m` micro-batches over `dp` replicas, so
+/// replica `r` runs `per + (r < rem)` of them, where `per = m / dp` and
+/// `rem = m % dp`.
+#[derive(Debug, Clone, Copy)]
+struct StageBlock {
+    offset: usize,
+    dp: u32,
+    per: u32,
+    rem: u32,
+}
+
+impl StageBlock {
+    /// Micro-batches (not tasks) of replicas `0..r`.
+    #[inline]
+    fn replica_base(&self, r: u32) -> usize {
+        r as usize * self.per as usize + r.min(self.rem) as usize
+    }
 }
 
 impl TaskIndex {
     /// Builds the index for a stage graph (each stage contributes
     /// `2 * B / b_i` task instances).
     pub fn new(sg: &StageGraph) -> TaskIndex {
-        let mut offsets = Vec::with_capacity(sg.len() + 1);
+        let mut blocks = Vec::with_capacity(sg.len());
         let mut total = 0usize;
         for s in sg.stages() {
-            offsets.push(total);
-            total += 2 * s.num_micro_batches(sg.mini_batch()) as usize;
+            let m = s.num_micro_batches(sg.mini_batch());
+            let dp = s.dp_degree().max(1) as u64;
+            blocks.push(StageBlock {
+                offset: total,
+                dp: dp as u32,
+                per: (m / dp) as u32,
+                rem: (m % dp) as u32,
+            });
+            total += 2 * m as usize;
         }
-        offsets.push(total);
-        TaskIndex { offsets, total }
+        TaskIndex { blocks, total }
     }
 
-    /// The dense index of one task instance.
+    /// The dense index of `(stage, mb)`'s forward task and the replica
+    /// that runs it (`mb % d`); the backward task is the next index.
     ///
-    /// `mb` must be below the stage's micro-batch count: the mapping is
-    /// only a bijection in range, and an out-of-range `mb` would alias
-    /// into the next stage's block (checked by a `debug_assert`; release
+    /// `mb` must be below the stage's micro-batch count: an out-of-range
+    /// `mb` aliases another task (checked by a `debug_assert`; release
     /// builds do not pay for the bounds check on this hot path).
     ///
     /// # Panics
     ///
     /// Panics if `stage` does not belong to the indexed graph, and — in
     /// debug builds — if `mb` is out of range for the stage.
-    pub fn index(&self, stage: StageId, mb: u32, pass: Pass) -> usize {
-        let p = match pass {
-            Pass::Forward => 0,
-            Pass::Backward => 1,
-        };
-        let i = self.offsets[stage.index()] + 2 * mb as usize + p;
+    #[inline]
+    pub fn locate(&self, stage: StageId, mb: u32) -> (usize, u32) {
+        let b = &self.blocks[stage.index()];
         debug_assert!(
-            i < self.offsets[stage.index() + 1],
+            (mb as usize) < b.dp as usize * b.per as usize + b.rem as usize,
             "micro-batch {mb} out of range for {stage}"
         );
-        i
+        if b.dp == 1 {
+            return (b.offset + 2 * mb as usize, 0);
+        }
+        let (j, r) = (mb / b.dp, mb % b.dp);
+        (b.offset + 2 * (b.replica_base(r) + j as usize), r)
+    }
+
+    /// The dense index of one task instance.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`TaskIndex::locate`].
+    #[inline]
+    pub fn index(&self, stage: StageId, mb: u32, pass: Pass) -> usize {
+        self.locate(stage, mb).0 + pass as usize
     }
 
     /// Total number of task instances across all stages.
@@ -339,7 +386,22 @@ impl TaskIndex {
 
     /// The contiguous index range owned by a stage.
     pub fn stage_tasks(&self, stage: StageId) -> Range<usize> {
-        self.offsets[stage.index()]..self.offsets[stage.index() + 1]
+        let b = &self.blocks[stage.index()];
+        b.offset..b.offset + 2 * b.replica_base(b.dp)
+    }
+
+    /// The contiguous index range owned by one replica of a stage (empty
+    /// when the stage has more replicas than micro-batches and `replica`
+    /// gets none).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage` does not belong to the indexed graph; `replica`
+    /// must be below the stage's data-parallel degree.
+    pub fn replica_tasks(&self, stage: StageId, replica: u32) -> Range<usize> {
+        let b = &self.blocks[stage.index()];
+        debug_assert!(replica < b.dp, "replica {replica} out of range for {stage}");
+        b.offset + 2 * b.replica_base(replica)..b.offset + 2 * b.replica_base(replica + 1)
     }
 
     /// Inverts a dense index back to `(stage, micro-batch, pass)`.
@@ -349,15 +411,26 @@ impl TaskIndex {
     /// Panics if `i >= self.len()`.
     pub fn task_at(&self, i: usize) -> (StageId, u32, Pass) {
         assert!(i < self.total, "task index {i} out of range");
-        // The last offset <= i locates the owning stage.
-        let s = self.offsets.partition_point(|&o| o <= i) - 1;
-        let local = i - self.offsets[s];
+        // The last block starting at or before i owns it.
+        let s = self.blocks.partition_point(|b| b.offset <= i) - 1;
+        let b = &self.blocks[s];
+        let local = i - b.offset;
         let pass = if local.is_multiple_of(2) {
             Pass::Forward
         } else {
             Pass::Backward
         };
-        (StageId(s as u32), (local / 2) as u32, pass)
+        // The first `rem` replicas run `per + 1` micro-batches, the rest `per`.
+        let k = local / 2;
+        let (per, rem) = (b.per as usize, b.rem as usize);
+        let long = rem * (per + 1);
+        let (r, j) = if k < long {
+            (k / (per + 1), k % (per + 1))
+        } else {
+            (rem + (k - long) / per, (k - long) % per)
+        };
+        let mb = r + j * b.dp as usize;
+        (StageId(s as u32), mb as u32, pass)
     }
 }
 
@@ -547,6 +620,129 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "dense indices must be a bijection");
+    }
+
+    /// A stage graph over an MLP chain cut into `dps.len()` contiguous
+    /// stages; stage `i` has `dps[i]` replicas (devices laid out in stage
+    /// order) and micro-batch size `mbs[i]`.
+    fn replicated_graph(dps: &[u32], mbs: &[u64], mini_batch: u64) -> StageGraph {
+        use gp_cluster::{Cluster, DeviceRange};
+        let n = dps.len();
+        let model = gp_ir::zoo::mlp_chain(n, 8);
+        let ops = model.linearize();
+        let mut first = 0;
+        let stages = (0..n)
+            .map(|i| {
+                let stage = crate::Stage {
+                    id: StageId(i as u32),
+                    ops: ops[i * ops.len() / n..(i + 1) * ops.len() / n].to_vec(),
+                    devices: DeviceRange::new(first, dps[i]),
+                    micro_batch: mbs[i],
+                    kfkb: 1,
+                };
+                first += dps[i];
+                stage
+            })
+            .collect();
+        let cluster = Cluster::tiny_test(first as usize);
+        StageGraph::new(model.graph(), &cluster, stages, mini_batch).unwrap()
+    }
+
+    #[test]
+    fn task_index_is_replica_major() {
+        // 5 micro-batches over 2 replicas: replica 0 runs 0, 2, 4 and
+        // replica 1 runs 1, 3 — each as one contiguous block.
+        let sg = replicated_graph(&[1, 2], &[1, 1], 5);
+        let idx = TaskIndex::new(&sg);
+        assert_eq!(idx.stage_tasks(StageId(1)), 10..20);
+        assert_eq!(idx.replica_tasks(StageId(1), 0), 10..16);
+        assert_eq!(idx.replica_tasks(StageId(1), 1), 16..20);
+        let order: Vec<(u32, Pass)> = idx
+            .stage_tasks(StageId(1))
+            .map(|i| {
+                let (_, mb, pass) = idx.task_at(i);
+                (mb, pass)
+            })
+            .collect();
+        let (f, b) = (Pass::Forward, Pass::Backward);
+        assert_eq!(
+            order,
+            [
+                (0, f),
+                (0, b),
+                (2, f),
+                (2, b),
+                (4, f),
+                (4, b),
+                (1, f),
+                (1, b),
+                (3, f),
+                (3, b)
+            ]
+        );
+        assert_eq!(idx.locate(StageId(1), 3), (18, 1));
+        // More replicas than micro-batches: the spare replicas own nothing.
+        let sg = replicated_graph(&[3, 1], &[2, 2], 4);
+        let idx = TaskIndex::new(&sg);
+        assert_eq!(idx.replica_tasks(StageId(0), 0), 0..2);
+        assert_eq!(idx.replica_tasks(StageId(0), 1), 2..4);
+        assert_eq!(idx.replica_tasks(StageId(0), 2), 4..4);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// On random replicated stage graphs the index is a bijection,
+        /// each replica's tasks form one contiguous block in
+        /// `(micro-batch, pass)` order, replica blocks tile their stage's
+        /// block, and stage blocks tile the whole index in id order.
+        #[test]
+        fn task_index_roundtrips_on_replicated_graphs(
+            stages in 1usize..6,
+            log_mini in 3u32..7,
+            seed in 0u64..1 << 32,
+        ) {
+            let mut rng = seed;
+            let mut next = |n: u64| {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (rng >> 33) % n
+            };
+            let dps: Vec<u32> = (0..stages).map(|_| 1 + next(5) as u32).collect();
+            let mbs: Vec<u64> = (0..stages).map(|_| 1 << next(4)).collect();
+            let sg = replicated_graph(&dps, &mbs, 1 << log_mini);
+            let idx = TaskIndex::new(&sg);
+            let mut seen = vec![false; idx.len()];
+            let mut next_stage = 0;
+            for s in sg.stages() {
+                let block = idx.stage_tasks(s.id);
+                proptest::prop_assert_eq!(block.start, next_stage);
+                next_stage = block.end;
+                let m = s.num_micro_batches(sg.mini_batch()) as u32;
+                proptest::prop_assert_eq!(block.len(), 2 * m as usize);
+                let d = s.dp_degree() as u32;
+                let mut next_replica = block.start;
+                for r in 0..d {
+                    let ids = idx.replica_tasks(s.id, r);
+                    proptest::prop_assert_eq!(ids.start, next_replica);
+                    next_replica = ids.end;
+                    let mut expect = ids.clone();
+                    for mb in (r..m).step_by(d as usize) {
+                        for pass in [Pass::Forward, Pass::Backward] {
+                            let i = idx.index(s.id, mb, pass);
+                            proptest::prop_assert_eq!(Some(i), expect.next());
+                            proptest::prop_assert_eq!(idx.task_at(i), (s.id, mb, pass));
+                            proptest::prop_assert!(!seen[i], "index {} assigned twice", i);
+                            seen[i] = true;
+                        }
+                        proptest::prop_assert_eq!(idx.locate(s.id, mb), (idx.index(s.id, mb, Pass::Forward), r));
+                    }
+                    proptest::prop_assert_eq!(expect.next(), None);
+                }
+                proptest::prop_assert_eq!(next_replica, block.end);
+            }
+            proptest::prop_assert_eq!(next_stage, idx.len());
+            proptest::prop_assert!(seen.iter().all(|&s| s));
+        }
     }
 
     #[test]

@@ -12,35 +12,51 @@
 //! # Arena layout
 //!
 //! The engine is built for 512+ devices and 10k+ micro-batches, so the hot
-//! path never hashes and never grows a container:
+//! path never hashes, never grows a container, and touches 20 bytes per
+//! task:
 //!
-//! * every task instance has a dense id from [`gp_sched::TaskIndex`]
-//!   (`(stage, micro-batch, pass)` → flat offset); completion times, start
-//!   times, and watcher lists are flat columns indexed by it;
-//! * device queues live in one contiguous slab ([`Prep::tasks`]) cut by
-//!   per-device offsets — a device's queue is a slice, not a `Vec`;
+//! * every task instance has a dense `u32` id from [`gp_sched::TaskIndex`],
+//!   which is replica-major: each device's tasks are one contiguous block,
+//!   so a device walking its queue walks forward through every per-task
+//!   column;
+//! * device queues live in one contiguous slab of task ids cut by
+//!   per-device offsets (4 bytes per task). A device serves one stage
+//!   replica, so `(micro-batch, pass)` decode from the id's offset in the
+//!   device's block and durations come from a per-device `[fwd, bwd]` pair;
+//! * the only per-task state is one `u128` column holding each task's
+//!   **timeline key** `(start bits, device, offset in the device's block)`,
+//!   written when the task commits; `u128::MAX` means "not run yet". A
+//!   dependency's completion is read back as `start + duration` — the same
+//!   float addition on the same operands that produced the task's end when
+//!   it committed, so the value is bit-identical to a stored completion
+//!   time;
 //! * dependency edges are per-stage CSR rows with the two possible
 //!   transfer times (intra-/inter-node) precomputed per edge, so a
 //!   dependency probe is an index walk plus one `max`;
 //! * the relaxation itself is event-driven: a device that blocks on a
-//!   missing dependency parks itself on that task's watcher list (an
-//!   intrusive linked list over two preallocated columns) and is pushed
-//!   back on the ready stack when the dependency completes. Total work is
+//!   missing dependency records that task and parks on the *producer
+//!   device's* waiter list (an intrusive list over three per-device
+//!   columns); when the producer commits that task it pushes exactly those
+//!   waiters back on the ready stack. Total work is
 //!   `O(tasks + dependency edges)` — no repeated full-device scans;
 //! * activation memory is a running per-device watermark updated as tasks
 //!   complete. A device's queue executes serially, so its completions are
 //!   already in time order and the old sort-all-events pass is redundant
 //!   (equal-time charge/release pairs only arise for zero-duration stages,
-//!   which stash zero bytes — see DESIGN.md §"Memory accounting").
+//!   which stash zero bytes — see DESIGN.md §"Memory accounting");
+//! * finalization reads warm-up off the key column (each stage owns a
+//!   contiguous block of it), drops the queue slab, sorts the column in
+//!   place — start bits first, so the sort *is* the timeline order — and
+//!   decodes each key into a span with `end = start + duration`.
 //!
 //! [`SimOptions::parallelism`] switches on the deterministic parallel mode:
 //! device queues are striped over `crossbeam::thread::scope` workers that
-//! relax concurrently against shared atomic completion columns, with a
-//! barrier per round. Every task's start/completion time is a pure
-//! function of its dependencies' times (a unique longest-path fixpoint),
-//! so worker interleaving cannot change any value and reports are
-//! byte-identical to the sequential engine's (see DESIGN.md
-//! §"Determinism").
+//! relax the same queue slab concurrently against a shared atomic
+//! start-time column, with a barrier per round; the keys are packed from
+//! it after the last round. Every task's start time is a pure function of
+//! its dependencies' times (a unique longest-path fixpoint), so worker
+//! interleaving cannot change any value and reports are byte-identical to
+//! the sequential engine's (see DESIGN.md §"Determinism").
 //!
 //! Modeling notes (see DESIGN.md §"The modeling contract"):
 //!
@@ -60,7 +76,7 @@ use gp_cost::{CostModel, Pass};
 use gp_ir::Graph;
 use gp_obs::Telemetry;
 use gp_sched::{covering_micro_batches, PipelineSchedule, StageGraph, StageId, TaskIndex};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 /// Tuning knobs for [`simulate_with`].
@@ -84,15 +100,6 @@ impl SimOptions {
     }
 }
 
-/// One task instance placed on a device queue.
-#[derive(Debug, Clone, Copy)]
-struct QueuedTask {
-    stage: u32,
-    mb: u32,
-    pass: Pass,
-    duration: f64,
-}
-
 /// One dependency edge of a stage: the peer stage, its micro-batch size,
 /// and the transfer time of the edge payload over each link class
 /// (already zero when the payload is zero bytes or the peer shares the
@@ -105,36 +112,85 @@ struct DepEdge {
     t_inter: f64,
 }
 
+/// What a device runs: one replica of one stage, whose tasks are the
+/// contiguous id block starting at `first_id`. A task at offset `k` of the
+/// block is micro-batch `replica + (k / 2) * dp`, forward when `k` is even.
+/// A replica of a stage with more replicas than micro-batches has an empty
+/// block and an empty queue.
+#[derive(Debug, Clone, Copy, Default)]
+struct DeviceInfo {
+    stage: u32,
+    replica: u32,
+    dp: u32,
+    first_id: u32,
+    /// `[forward, backward]` duration of one of the stage's tasks.
+    dur: [f64; 2],
+    act_charge: u64,
+}
+
+impl DeviceInfo {
+    /// `(micro-batch, pass bit)` of the task at `offset` in the block.
+    #[inline]
+    fn decode(&self, offset: u32) -> (u32, usize) {
+        (
+            self.replica + (offset >> 1) * self.dp,
+            (offset & 1) as usize,
+        )
+    }
+}
+
+/// The timeline key of a task that started at `start_bits` on `dev`, at
+/// `offset` in the device's block: ordering keys orders spans by
+/// `(start, device, stage, mb, pass)`, because start times are
+/// non-negative (so bit order is numeric order), a device serves a single
+/// stage, and block offsets grow with `(mb, pass)`.
+#[inline]
+fn pack_key(start_bits: u64, dev: u32, offset: u32) -> u128 {
+    ((start_bits as u128) << 64) | ((dev as u128) << 32) | offset as u128
+}
+
+/// A key column entry of a task that has not run.
+const NOT_RUN: u128 = u128::MAX;
+
 /// Everything the relaxation needs, precomputed into flat arenas.
 struct Prep {
     n_dev: usize,
     idx: TaskIndex,
     // Per-stage columns (indexed by stage id).
-    act_charge: Vec<u64>,
     param_bytes: Vec<u64>,
     first_dev: Vec<u32>,
     dp: Vec<u32>,
     micro_batch: Vec<u64>,
+    /// `[forward, backward]` task duration.
+    dur: Vec<[f64; 2]>,
     // Forward/backward dependency CSR rows per stage.
     fdep_off: Vec<usize>,
     fdeps: Vec<DepEdge>,
     bdep_off: Vec<usize>,
     bdeps: Vec<DepEdge>,
-    // Device-queue slab: queue of device `d` is `tasks[dev_off[d]..dev_off[d + 1]]`.
-    tasks: Vec<QueuedTask>,
+    // Per-device columns.
+    dev: Vec<DeviceInfo>,
+    /// Queue of device `d` is `queues[dev_off[d]..dev_off[d + 1]]`.
     dev_off: Vec<usize>,
     static_mem: Vec<u64>,
     node_of: Vec<u32>,
 }
 
 impl Prep {
-    fn new(graph: &Graph, cluster: &Cluster, sg: &StageGraph, schedule: &PipelineSchedule) -> Prep {
+    /// Builds the arenas and the device-queue slab (returned separately so
+    /// finalization can free it before the timeline is allocated).
+    fn new(
+        graph: &Graph,
+        cluster: &Cluster,
+        sg: &StageGraph,
+        schedule: &PipelineSchedule,
+        idx: TaskIndex,
+    ) -> (Prep, Vec<u32>) {
         let cost = CostModel::new(cluster);
         let n_dev = cluster.device_count();
         let n = sg.len();
 
-        let mut fwd_dur = vec![0.0f64; n];
-        let mut bwd_dur = vec![0.0f64; n];
+        let mut dur = vec![[0.0f64; 2]; n];
         let mut act_charge = vec![0u64; n];
         let mut param_bytes = vec![0u64; n];
         let mut first_dev = vec![0u32; n];
@@ -142,8 +198,10 @@ impl Prep {
         let mut micro_batch = vec![1u64; n];
         for s in sg.stages() {
             let i = s.id.index();
-            fwd_dur[i] = cost.stage_time(graph, &s.ops, s.micro_batch, Pass::Forward);
-            bwd_dur[i] = cost.stage_time(graph, &s.ops, s.micro_batch, Pass::Backward);
+            dur[i] = [
+                cost.stage_time(graph, &s.ops, s.micro_batch, Pass::Forward),
+                cost.stage_time(graph, &s.ops, s.micro_batch, Pass::Backward),
+            ];
             act_charge[i] = cost.stage_activation_bytes_per_sample(graph, &s.ops) * s.micro_batch;
             param_bytes[i] = cost.stage_param_bytes(graph, &s.ops);
             first_dev[i] = s.devices.first().0;
@@ -164,23 +222,16 @@ impl Prep {
         // activations for its own micro-batch; a backward receives the
         // gradient of its own output), exactly as the per-probe legacy
         // engine computed it.
-        let edge = |from: StageId, to: StageId, owner: StageId| -> DepEdge {
+        let edge = |from: StageId, to: StageId, owner: StageId, peer: StageId| -> DepEdge {
             let bytes =
                 cost.crossing_bytes_per_sample(graph, &sg.stage(from).ops, &sg.stage(to).ops)
                     * sg.stage(owner).micro_batch;
+            let time = |t: f64| if bytes > 0 { t } else { 0.0 };
             DepEdge {
-                stage: 0, // caller fills the peer
-                micro_batch: 0,
-                t_intra: if bytes > 0 {
-                    intra.transfer_time(bytes)
-                } else {
-                    0.0
-                },
-                t_inter: if bytes > 0 {
-                    inter.transfer_time(bytes)
-                } else {
-                    0.0
-                },
+                stage: peer.0,
+                micro_batch: sg.stage(peer).micro_batch,
+                t_intra: time(intra.transfer_time(bytes)),
+                t_inter: time(inter.transfer_time(bytes)),
             }
         };
         let mut fdep_off = Vec::with_capacity(n + 1);
@@ -189,32 +240,36 @@ impl Prep {
         let mut bdeps = Vec::new();
         for s in sg.stages() {
             fdep_off.push(fdeps.len());
-            for &p in sg.preds(s.id) {
-                fdeps.push(DepEdge {
-                    stage: p.0,
-                    micro_batch: sg.stage(p).micro_batch,
-                    ..edge(p, s.id, s.id)
-                });
-            }
+            fdeps.extend(sg.preds(s.id).iter().map(|&p| edge(p, s.id, s.id, p)));
             bdep_off.push(bdeps.len());
-            for &succ in sg.succs(s.id) {
-                bdeps.push(DepEdge {
-                    stage: succ.0,
-                    micro_batch: sg.stage(succ).micro_batch,
-                    ..edge(s.id, succ, s.id)
-                });
-            }
+            bdeps.extend(sg.succs(s.id).iter().map(|&t| edge(s.id, t, s.id, t)));
         }
         fdep_off.push(fdeps.len());
         bdep_off.push(bdeps.len());
 
-        // Device-queue slab. Devices partition across stages (C3), so a
-        // device's queue is its stage's task order filtered to the
-        // replica's micro-batches — count, cut offsets, fill.
+        // Devices partition across stages (C3): replica `r` of a stage is
+        // its `r`-th device and owns the replica's id block.
+        let mut dev = vec![DeviceInfo::default(); n_dev];
+        for s in sg.stages() {
+            let i = s.id.index();
+            for r in 0..dp[i] {
+                dev[(first_dev[i] + r) as usize] = DeviceInfo {
+                    stage: s.id.0,
+                    replica: r,
+                    dp: dp[i],
+                    first_id: idx.replica_tasks(s.id, r).start as u32,
+                    dur: dur[i],
+                    act_charge: act_charge[i],
+                };
+            }
+        }
+
+        // Device-queue slab: a device's queue is its stage's task order
+        // filtered to the replica's micro-batches — count, cut offsets,
+        // fill with dense ids.
         let mut counts = vec![0usize; n_dev];
         for s in sg.stages() {
-            let d = dp[s.id.index()];
-            let first = first_dev[s.id.index()];
+            let (first, d) = (first_dev[s.id.index()], dp[s.id.index()]);
             for task in &schedule.stage(s.id).tasks {
                 counts[(first + task.mb % d) as usize] += 1;
             }
@@ -227,29 +282,14 @@ impl Prep {
         }
         dev_off.push(total);
         let mut cursor = dev_off[..n_dev].to_vec();
-        let mut tasks = vec![
-            QueuedTask {
-                stage: 0,
-                mb: 0,
-                pass: Pass::Forward,
-                duration: 0.0,
-            };
-            total
-        ];
+        let mut queues = vec![0u32; total];
         for s in sg.stages() {
-            let i = s.id.index();
+            let first = first_dev[s.id.index()];
             for task in &schedule.stage(s.id).tasks {
-                let dev = (first_dev[i] + task.mb % dp[i]) as usize;
-                tasks[cursor[dev]] = QueuedTask {
-                    stage: s.id.0,
-                    mb: task.mb,
-                    pass: task.pass,
-                    duration: match task.pass {
-                        Pass::Forward => fwd_dur[i],
-                        Pass::Backward => bwd_dur[i],
-                    },
-                };
-                cursor[dev] += 1;
+                let (fwd, r) = idx.locate(s.id, task.mb);
+                let d = (first + r) as usize;
+                queues[cursor[d]] = (fwd + task.pass as usize) as u32;
+                cursor[d] += 1;
             }
         }
 
@@ -265,35 +305,30 @@ impl Prep {
             .map(|d| cluster.node_of(DeviceId(d)) as u32)
             .collect();
 
-        Prep {
+        let prep = Prep {
             n_dev,
-            idx: TaskIndex::new(sg),
-            act_charge,
+            idx,
             param_bytes,
             first_dev,
             dp,
             micro_batch,
+            dur,
             fdep_off,
             fdeps,
             bdep_off,
             bdeps,
-            tasks,
+            dev,
             dev_off,
             static_mem,
             node_of,
-        }
-    }
-
-    /// The device hosting `(stage, mb)` — replica `mb % d`.
-    #[inline]
-    fn replica_device(&self, stage: u32, mb: u32) -> u32 {
-        self.first_dev[stage as usize] + mb % self.dp[stage as usize]
+        };
+        (prep, queues)
     }
 
     /// The queue slice of a device.
     #[inline]
-    fn queue(&self, dev: usize) -> &[QueuedTask] {
-        &self.tasks[self.dev_off[dev]..self.dev_off[dev + 1]]
+    fn queue<'q>(&self, queues: &'q [u32], dev: usize) -> &'q [u32] {
+        &queues[self.dev_off[dev]..self.dev_off[dev + 1]]
     }
 
     /// Transfer delay of `edge`'s payload from `from` to `me` (free on the
@@ -309,64 +344,61 @@ impl Prep {
         }
     }
 
-    /// Earliest time every dependency of `t` (on device `me`) has arrived,
-    /// or `Err(dep)` with the dense id of the first dependency that has
-    /// not completed yet.
+    /// Earliest time every dependency of task `id` — micro-batch `mb`,
+    /// pass bit `pass` of the stage device `me` serves — has arrived, or
+    /// `Err((dep, producer))` naming the first dependency that has not run
+    /// yet and the device that will run it.
     ///
-    /// `done_at` returns a task's completion time once it is scheduled.
-    /// The accumulated value is a max over per-dependency arrival times,
-    /// so it is independent of evaluation order — which is what makes the
-    /// parallel mode's answers bit-equal to the sequential engine's.
+    /// `start_of` returns a task's start time once it has run; its
+    /// completion is `start + duration`, the exact float the producer
+    /// computed as its end. The accumulated value is a max over
+    /// per-dependency arrival times, so it is independent of evaluation
+    /// order — which is what makes the parallel mode's answers bit-equal
+    /// to the sequential engine's.
     #[inline]
     fn ready_time(
         &self,
-        t: &QueuedTask,
+        id: usize,
+        mb: u32,
+        pass: usize,
         me: u32,
-        done_at: &mut impl FnMut(usize) -> Option<f64>,
-    ) -> Result<f64, usize> {
-        let s = t.stage as usize;
+        start_of: &impl Fn(usize) -> Option<f64>,
+    ) -> Result<f64, (usize, u32)> {
+        let s = self.dev[me as usize].stage as usize;
         let b_me = self.micro_batch[s];
         let mut ready = 0.0f64;
         // Uniform micro-batch sizes (the overwhelmingly common case) cover
         // exactly the peer's same-numbered micro-batch; skipping the
         // `covering_micro_batches` divisions there is a measurable win at
         // 10k+ micro-batches.
-        let cover = |b_peer: u64, mb: u32| -> std::ops::Range<u32> {
+        let cover = |b_peer: u64| -> std::ops::Range<u32> {
             if b_peer == b_me {
                 mb..mb + 1
             } else {
                 covering_micro_batches(b_peer, b_me, mb)
             }
         };
-        match t.pass {
-            Pass::Forward => {
-                for e in &self.fdeps[self.fdep_off[s]..self.fdep_off[s + 1]] {
-                    for mb_p in cover(e.micro_batch, t.mb) {
-                        let dep = self.idx.index(StageId(e.stage), mb_p, Pass::Forward);
-                        let Some(c) = done_at(dep) else {
-                            return Err(dep);
-                        };
-                        let from = self.replica_device(e.stage, mb_p);
-                        ready = ready.max(c + self.hop(e, from, me));
-                    }
-                }
-            }
-            Pass::Backward => {
-                let own = self.idx.index(StageId(t.stage), t.mb, Pass::Forward);
-                let Some(c) = done_at(own) else {
-                    return Err(own);
+        let edges = if pass == 0 {
+            &self.fdeps[self.fdep_off[s]..self.fdep_off[s + 1]]
+        } else {
+            // A backward first waits for its own forward: the previous id
+            // of the same block, on the same device.
+            let Some(st) = start_of(id - 1) else {
+                return Err((id - 1, me));
+            };
+            ready = ready.max(st + self.dur[s][0]);
+            &self.bdeps[self.bdep_off[s]..self.bdep_off[s + 1]]
+        };
+        for e in edges {
+            for mb_p in cover(e.micro_batch) {
+                let (fwd, r) = self.idx.locate(StageId(e.stage), mb_p);
+                let dep = fwd + pass;
+                let from = self.first_dev[e.stage as usize] + r;
+                let Some(st) = start_of(dep) else {
+                    return Err((dep, from));
                 };
-                ready = ready.max(c);
-                for e in &self.bdeps[self.bdep_off[s]..self.bdep_off[s + 1]] {
-                    for mb_s in cover(e.micro_batch, t.mb) {
-                        let dep = self.idx.index(StageId(e.stage), mb_s, Pass::Backward);
-                        let Some(c) = done_at(dep) else {
-                            return Err(dep);
-                        };
-                        let from = self.replica_device(e.stage, mb_s);
-                        ready = ready.max(c + self.hop(e, from, me));
-                    }
-                }
+                let end = st + self.dur[e.stage as usize][pass];
+                ready = ready.max(end + self.hop(e, from, me));
             }
         }
         Ok(ready)
@@ -395,28 +427,28 @@ impl DeviceState {
         }
     }
 
-    /// Commits one scheduled task: advances the queue head, the busy
-    /// clock, and the activation watermark (charge at forward completion,
-    /// release at backward completion).
+    /// Commits one scheduled task that starts at `start`: advances the
+    /// queue head, the busy clock, and the activation watermark (charge at
+    /// forward completion, release at backward completion).
     #[inline]
-    fn commit(&mut self, t: &QueuedTask, end: f64, act_charge: u64) {
-        self.busy_until = end;
-        self.busy_total += t.duration;
+    fn commit(&mut self, info: &DeviceInfo, pass: usize, start: f64) {
+        let duration = info.dur[pass];
+        self.busy_until = start + duration;
+        self.busy_total += duration;
         self.head += 1;
-        match t.pass {
-            Pass::Forward => {
-                self.cur_mem += act_charge;
-                self.peak_mem = self.peak_mem.max(self.cur_mem);
-            }
-            Pass::Backward => self.cur_mem -= act_charge,
+        if pass == 0 {
+            self.cur_mem += info.act_charge;
+            self.peak_mem = self.peak_mem.max(self.cur_mem);
+        } else {
+            self.cur_mem -= info.act_charge;
         }
     }
 }
 
 /// Output of a relaxation, merged across workers in the parallel mode.
 struct Relaxed {
-    completion: Vec<f64>,
-    start: Vec<f64>,
+    /// The timeline-key column, indexed by dense task id.
+    keys: Vec<u128>,
     busy_until: Vec<f64>,
     busy_total: Vec<f64>,
     peak_mem: Vec<u64>,
@@ -429,57 +461,70 @@ struct Relaxed {
     rounds: u64,
 }
 
-/// Sequential relaxation: an explicit ready stack of devices plus an
-/// intrusive watcher list per task. A blocked device parks on the first
-/// missing dependency and is re-pushed exactly when that task completes,
-/// so every task is examined `O(1 + its dependency count)` times.
-fn relax_sequential(prep: &Prep) -> Result<Relaxed, SimError> {
-    let n = prep.idx.len();
+/// End of a device's waiter list.
+const NONE: u32 = u32::MAX;
+
+/// Sequential relaxation: an explicit ready stack of devices plus, per
+/// device, an intrusive list of the devices waiting on one of its tasks.
+/// A blocked device records the first missing dependency and parks on its
+/// producer's list; the producer re-pushes it exactly when that task
+/// commits, so every task is examined `O(1 + its dependency count)` times.
+fn relax_sequential(prep: &Prep, queues: &[u32]) -> Result<Relaxed, SimError> {
     let n_dev = prep.n_dev;
-    let mut completion = vec![f64::NAN; n];
-    let mut start = vec![f64::NAN; n];
-    let mut done = vec![false; n];
-    let mut watcher_head = vec![u32::MAX; n];
-    let mut watcher_next = vec![u32::MAX; n_dev];
+    let mut keys = vec![NOT_RUN; prep.idx.len()];
+    let mut waiting_on = vec![0u32; n_dev];
+    let mut waiter_head = vec![NONE; n_dev];
+    let mut waiter_next = vec![NONE; n_dev];
     let mut dev = (0..n_dev)
         .map(|d| DeviceState::new(prep.static_mem[d]))
         .collect::<Vec<_>>();
     let mut stack: Vec<u32> = (0..n_dev as u32).collect();
-    let total: usize = prep.tasks.len();
+    let total = queues.len();
     let mut remaining = total;
     let mut parks = 0u64;
     let mut wakes = 0u64;
 
     while let Some(d) = stack.pop() {
-        let queue = prep.queue(d as usize);
+        let queue = prep.queue(queues, d as usize);
+        let info = &prep.dev[d as usize];
         let state = &mut dev[d as usize];
         while state.head < queue.len() {
-            let t = &queue[state.head];
-            match prep.ready_time(t, d, &mut |dep| done[dep].then(|| completion[dep])) {
-                Err(dep) => {
-                    // Park on the missing dependency's watcher list.
-                    watcher_next[d as usize] = watcher_head[dep];
-                    watcher_head[dep] = d;
+            let id = queue[state.head];
+            let offset = id - info.first_id;
+            let (mb, pass) = info.decode(offset);
+            let start_of = |dep: usize| {
+                let key = keys[dep];
+                (key != NOT_RUN).then(|| f64::from_bits((key >> 64) as u64))
+            };
+            match prep.ready_time(id as usize, mb, pass, d, &start_of) {
+                Err((dep, producer)) => {
+                    waiting_on[d as usize] = dep as u32;
+                    waiter_next[d as usize] = waiter_head[producer as usize];
+                    waiter_head[producer as usize] = d;
                     parks += 1;
                     break;
                 }
                 Ok(ready) => {
-                    let t_start = state.busy_until.max(ready);
-                    let t_end = t_start + t.duration;
-                    let ti = prep.idx.index(StageId(t.stage), t.mb, t.pass);
-                    completion[ti] = t_end;
-                    start[ti] = t_start;
-                    done[ti] = true;
-                    state.commit(t, t_end, prep.act_charge[t.stage as usize]);
+                    let start = state.busy_until.max(ready);
+                    keys[id as usize] = pack_key(start.to_bits(), d, offset);
+                    state.commit(info, pass, start);
                     remaining -= 1;
-                    // Wake every device parked on this task.
-                    let mut w = watcher_head[ti];
-                    watcher_head[ti] = u32::MAX;
-                    while w != u32::MAX {
-                        stack.push(w);
-                        wakes += 1;
-                        let next = watcher_next[w as usize];
-                        watcher_next[w as usize] = u32::MAX;
+                    // Wake the devices parked on this task; the others on
+                    // the list wait for a later task of this device.
+                    let (mut prev, mut w) = (NONE, waiter_head[d as usize]);
+                    while w != NONE {
+                        let next = waiter_next[w as usize];
+                        if waiting_on[w as usize] == id {
+                            if prev == NONE {
+                                waiter_head[d as usize] = next;
+                            } else {
+                                waiter_next[prev as usize] = next;
+                            }
+                            stack.push(w);
+                            wakes += 1;
+                        } else {
+                            prev = w;
+                        }
                         w = next;
                     }
                 }
@@ -493,8 +538,7 @@ fn relax_sequential(prep: &Prep) -> Result<Relaxed, SimError> {
         });
     }
     Ok(Relaxed {
-        completion,
-        start,
+        keys,
         busy_until: dev.iter().map(|s| s.busy_until).collect(),
         busy_total: dev.iter().map(|s| s.busy_total).collect(),
         peak_mem: dev.iter().map(|s| s.peak_mem).collect(),
@@ -510,25 +554,28 @@ const FINISHED: u8 = 1;
 const DEADLOCKED: u8 = 2;
 
 /// Parallel relaxation: devices stripe over `workers` scoped threads
-/// (`dev % workers`), each sweeping its own queues against shared atomic
-/// completion columns. Rounds are separated by barriers; the leader calls
-/// the iteration finished when all tasks are scheduled and deadlocked when
-/// a whole round makes no progress anywhere (the done-set is then a
-/// fixpoint). Every value a worker publishes is the unique longest-path
-/// solution for that task, so the merged result is byte-identical to
-/// [`relax_sequential`]'s regardless of thread interleaving.
-fn relax_parallel(prep: &Prep, workers: usize) -> Result<Relaxed, SimError> {
+/// (`dev % workers`), each sweeping its own queues against a shared atomic
+/// start-time column (`u64::MAX` until the task runs). Rounds are
+/// separated by barriers; the leader calls the iteration finished when all
+/// tasks are scheduled and deadlocked when a whole round makes no progress
+/// anywhere (the done-set is then a fixpoint). Every value a worker
+/// publishes is the unique longest-path solution for that task, so the
+/// merged result is byte-identical to [`relax_sequential`]'s regardless of
+/// thread interleaving.
+fn relax_parallel(prep: &Prep, queues: &[u32], workers: usize) -> Result<Relaxed, SimError> {
     let n = prep.idx.len();
     let n_dev = prep.n_dev;
-    let total: usize = prep.tasks.len();
-    let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let completion: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(f64::NAN.to_bits())).collect();
-    let start: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(f64::NAN.to_bits())).collect();
+    let total = queues.len();
+    let starts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
     let barrier = Barrier::new(workers);
     let round_progress = AtomicUsize::new(0);
     let scheduled_total = AtomicUsize::new(0);
     let state_flag = AtomicU8::new(RUN);
     let rounds = AtomicUsize::new(0);
+    let start_of = |dep: usize| {
+        let bits = starts[dep].load(Ordering::Acquire);
+        (bits != u64::MAX).then(|| f64::from_bits(bits))
+    };
 
     let worker = |w: usize| -> Vec<(usize, DeviceState)> {
         let mut owned: Vec<(usize, DeviceState)> = (w..n_dev)
@@ -538,26 +585,20 @@ fn relax_parallel(prep: &Prep, workers: usize) -> Result<Relaxed, SimError> {
         loop {
             let mut local = 0usize;
             // Sweep owned devices to a local fixpoint; peers may publish
-            // new completions mid-sweep, which only adds progress.
+            // new start times mid-sweep, which only adds progress.
             loop {
                 let mut sweep = 0usize;
                 for (d, state) in owned.iter_mut() {
-                    let queue = prep.queue(*d);
+                    let queue = prep.queue(queues, *d);
+                    let info = &prep.dev[*d];
                     while state.head < queue.len() {
-                        let t = &queue[state.head];
-                        let ready = prep.ready_time(t, *d as u32, &mut |dep| {
-                            done[dep]
-                                .load(Ordering::Acquire)
-                                .then(|| f64::from_bits(completion[dep].load(Ordering::Relaxed)))
-                        });
+                        let id = queue[state.head];
+                        let (mb, pass) = info.decode(id - info.first_id);
+                        let ready = prep.ready_time(id as usize, mb, pass, *d as u32, &start_of);
                         let Ok(ready) = ready else { break };
-                        let t_start = state.busy_until.max(ready);
-                        let t_end = t_start + t.duration;
-                        let ti = prep.idx.index(StageId(t.stage), t.mb, t.pass);
-                        completion[ti].store(t_end.to_bits(), Ordering::Relaxed);
-                        start[ti].store(t_start.to_bits(), Ordering::Relaxed);
-                        done[ti].store(true, Ordering::Release);
-                        state.commit(t, t_end, prep.act_charge[t.stage as usize]);
+                        let start = state.busy_until.max(ready);
+                        starts[id as usize].store(start.to_bits(), Ordering::Release);
+                        state.commit(info, pass, start);
                         sweep += 1;
                     }
                 }
@@ -612,15 +653,24 @@ fn relax_parallel(prep: &Prep, workers: usize) -> Result<Relaxed, SimError> {
         busy_total[d] = state.busy_total;
         peak_mem[d] = state.peak_mem;
     }
+    // Pack the key column: replica blocks tile the id space in
+    // (stage, replica) order.
+    let mut keys = Vec::with_capacity(n);
+    let mut bits = starts.into_iter().map(AtomicU64::into_inner);
+    for (s, (&first, &dp)) in prep.first_dev.iter().zip(&prep.dp).enumerate() {
+        for r in 0..dp {
+            let block = prep.idx.replica_tasks(StageId(s as u32), r);
+            keys.extend((0..block.len() as u32).zip(&mut bits).map(|(offset, b)| {
+                if b == u64::MAX {
+                    NOT_RUN
+                } else {
+                    pack_key(b, first + r, offset)
+                }
+            }));
+        }
+    }
     Ok(Relaxed {
-        completion: completion
-            .into_iter()
-            .map(|c| f64::from_bits(c.into_inner()))
-            .collect(),
-        start: start
-            .into_iter()
-            .map(|s| f64::from_bits(s.into_inner()))
-            .collect(),
+        keys,
         busy_until,
         busy_total,
         peak_mem,
@@ -637,8 +687,9 @@ fn relax_parallel(prep: &Prep, workers: usize) -> Result<Relaxed, SimError> {
 ///
 /// Returns [`SimError::Deadlock`] when the task orders are mutually
 /// inconsistent (e.g. a hand-crafted schedule with insufficient warm-up),
-/// and [`SimError::MissingSchedule`] when the schedule does not cover every
-/// stage.
+/// [`SimError::MissingSchedule`] when the schedule does not cover every
+/// stage, and [`SimError::TooManyTasks`] when the iteration has more tasks
+/// than 32-bit task ids can name.
 pub fn simulate(
     graph: &Graph,
     cluster: &Cluster,
@@ -675,9 +726,10 @@ pub fn simulate_with(
 }
 
 /// [`simulate_with`], emitting spans (`sim.prep` / `sim.relax` /
-/// `sim.finalize`) and engine counters (`sim.tasks`,
-/// `sim.watcher_parks`, `sim.watcher_wakes`, `sim.relax_rounds`) into
-/// `telemetry`.
+/// `sim.finalize`), engine counters (`sim.tasks`, `sim.watcher_parks`,
+/// `sim.watcher_wakes`, `sim.relax_rounds`) and gauges (`sim.devices`,
+/// `sim.arena_bytes` — the bytes of the per-task columns plus the queue
+/// slab the relaxation touched) into `telemetry`.
 ///
 /// Telemetry is write-only: the returned report — including its
 /// [`SimReport::fingerprint`](crate::SimReport::fingerprint) — is
@@ -697,33 +749,42 @@ pub fn simulate_traced(
             schedules: schedule.per_stage.len(),
         });
     }
+    let idx = TaskIndex::new(sg);
+    if idx.len() > u32::MAX as usize {
+        return Err(SimError::TooManyTasks { tasks: idx.len() });
+    }
     let cost = CostModel::new(cluster);
     let n_dev = cluster.device_count();
     let mini_batch = sg.mini_batch();
     let prep_span = telemetry.span("sim.prep");
-    let prep = Prep::new(graph, cluster, sg, schedule);
+    let (prep, queues) = Prep::new(graph, cluster, sg, schedule, idx);
     drop(prep_span);
-    let total_tasks = prep.tasks.len();
+    let total_tasks = queues.len();
 
     let workers = options.parallelism.min(n_dev);
     let relax_span = telemetry.span_with("sim.relax", total_tasks as u64);
     let relaxed = if workers > 1 {
-        relax_parallel(&prep, workers)?
+        relax_parallel(&prep, &queues, workers)?
     } else {
-        relax_sequential(&prep)?
+        relax_sequential(&prep, &queues)?
     };
     drop(relax_span);
     if telemetry.is_enabled() {
+        let start_column = if workers > 1 { prep.idx.len() * 8 } else { 0 };
+        let arena = relaxed.keys.len() * std::mem::size_of::<u128>()
+            + queues.len() * std::mem::size_of::<u32>()
+            + start_column;
         telemetry.counter_add("sim.tasks", total_tasks as u64);
         telemetry.counter_add("sim.watcher_parks", relaxed.parks);
         telemetry.counter_add("sim.watcher_wakes", relaxed.wakes);
         telemetry.counter_add("sim.relax_rounds", relaxed.rounds);
         telemetry.gauge_set("sim.devices", n_dev as i64);
+        telemetry.gauge_set("sim.arena_bytes", arena as i64);
     }
+    drop(queues);
     let _finalize_span = telemetry.span("sim.finalize");
     let Relaxed {
-        completion,
-        start: start_time,
+        mut keys,
         busy_until,
         mut busy_total,
         peak_mem: peak_memory,
@@ -748,102 +809,54 @@ pub fn simulate_traced(
     }
     let iteration_time = device_end.iter().copied().fold(0.0f64, f64::max);
 
-    // Timeline spans for rendering, straight out of the columns, sorted
-    // by the total key `(start, device, stage, mb, pass)` — ties on start
-    // time are broken structurally rather than by construction order, so
-    // the timeline (and everything rendered from it, e.g. Gantt charts)
-    // is byte-for-byte deterministic for a given strategy. The key is
-    // unique per span ((stage, mb, pass) alone already is), so any sort
-    // has a single valid output.
-    //
-    // Fast path: start times are non-negative, so `f64::total_cmp` order
-    // equals unsigned bit-pattern order, and when the id spaces fit their
-    // bit budgets (devices/stages < 2^20, micro-batches < 2^23 — far
-    // beyond any simulated strategy) the whole key packs into one `u128`.
-    // Sorting primitive keys and materializing spans afterwards is ~2x
-    // faster than sorting 40-byte spans with a comparator.
-    let max_mbs = sg
-        .stages()
-        .map(|s| s.num_micro_batches(mini_batch))
-        .max()
-        .unwrap_or(0);
-    let packable = n_dev < (1 << 20) && sg.len() < (1 << 20) && max_mbs < (1 << 23);
-    let timeline = if packable {
-        let mut keys: Vec<u128> = Vec::with_capacity(total_tasks);
-        for s in sg.stages() {
-            let m = s.num_micro_batches(mini_batch) as u32;
-            for mb in 0..m {
-                let dev = prep.replica_device(s.id.0, mb) as u64;
-                let tie_fwd = (dev << 44) | ((s.id.0 as u64) << 24) | ((mb as u64) << 1);
-                for pass in [Pass::Forward, Pass::Backward] {
-                    let ti = prep.idx.index(s.id, mb, pass);
-                    let tie = tie_fwd | pass as u64;
-                    keys.push(((start_time[ti].to_bits() as u128) << 64) | tie as u128);
-                }
-            }
-        }
-        keys.sort_unstable();
-        keys.into_iter()
-            .map(|key| {
-                let tie = key as u64;
-                let device = DeviceId((tie >> 44) as u32);
-                let stage = StageId(((tie >> 24) & 0xf_ffff) as u32);
-                let mb = ((tie >> 1) & 0x7f_ffff) as u32;
-                let pass = if tie & 1 == 0 {
-                    Pass::Forward
-                } else {
-                    Pass::Backward
-                };
-                let ti = prep.idx.index(stage, mb, pass);
-                TaskSpan {
-                    device,
-                    stage,
-                    mb,
-                    pass,
-                    start: f64::from_bits((key >> 64) as u64),
-                    end: completion[ti],
-                }
-            })
-            .collect()
-    } else {
-        let mut timeline = Vec::with_capacity(total_tasks);
-        for s in sg.stages() {
-            let m = s.num_micro_batches(mini_batch) as u32;
-            for mb in 0..m {
-                let device = DeviceId(prep.replica_device(s.id.0, mb));
-                for pass in [Pass::Forward, Pass::Backward] {
-                    let ti = prep.idx.index(s.id, mb, pass);
-                    timeline.push(TaskSpan {
-                        device,
-                        stage: s.id,
-                        mb,
-                        pass,
-                        start: start_time[ti],
-                        end: completion[ti],
-                    });
-                }
-            }
-        }
-        timeline.sort_unstable_by(|a, b| {
-            let ka = (a.device, a.stage, a.mb, a.pass as u8);
-            let kb = (b.device, b.stage, b.mb, b.pass as u8);
-            a.start.total_cmp(&b.start).then(ka.cmp(&kb))
-        });
-        timeline
-    };
-
     // Warm-up: the moment every stage has begun working — the max over
-    // stages of the min start time, read straight off the start column
-    // (each stage owns a contiguous block of it).
+    // stages of the min start time, read off the key column before it is
+    // sorted (each stage owns a contiguous block of it).
     let warmup_time = sg
         .stages()
         .map(|s| {
-            start_time[prep.idx.stage_tasks(s.id)]
+            keys[prep.idx.stage_tasks(s.id)]
                 .iter()
-                .copied()
+                .map(|&k| f64::from_bits((k >> 64) as u64))
                 .fold(f64::INFINITY, f64::min)
         })
         .fold(0.0f64, f64::max);
+
+    // The timeline is the key column sorted in place: keys order spans by
+    // the total key `(start, device, stage, mb, pass)` (see `pack_key`),
+    // so ties on start time are broken structurally rather than by
+    // construction order and the timeline — and everything rendered from
+    // it, e.g. Gantt charts — is byte-for-byte deterministic. Keys are
+    // unique, so any sort has a single valid output. A task the schedule
+    // never queued keeps `NOT_RUN` and sorts last.
+    keys.sort_unstable();
+    if keys.last() == Some(&NOT_RUN) {
+        return Err(SimError::Deadlock {
+            completed: keys.partition_point(|&k| k != NOT_RUN),
+            total: keys.len(),
+        });
+    }
+    let timeline = keys
+        .into_iter()
+        .map(|key| {
+            let device = (key >> 32) as u32;
+            let info = &prep.dev[device as usize];
+            let (mb, pass) = info.decode(key as u32);
+            let start = f64::from_bits((key >> 64) as u64);
+            TaskSpan {
+                device: DeviceId(device),
+                stage: StageId(info.stage),
+                mb,
+                pass: if pass == 0 {
+                    Pass::Forward
+                } else {
+                    Pass::Backward
+                },
+                start,
+                end: start + info.dur[pass],
+            }
+        })
+        .collect();
 
     let busy_sum: f64 = busy_total.iter().sum();
     let utilization = if iteration_time > 0.0 {

@@ -10,11 +10,13 @@
 //! the observables behind Figures 6–9.
 //!
 //! The engine is arena-backed and scales to 512+ simulated devices and
-//! 10k+ micro-batches: task state lives in flat columns keyed by
-//! [`gp_sched::TaskIndex`], device queues are slices of one slab,
-//! dependency probes walk precomputed CSR rows, and activation memory is
-//! a running per-device watermark (the layout is documented on the
-//! private `engine` module; the perf harness is
+//! 10k+ micro-batches at 20 bytes per task: device queues are slices of
+//! one slab of 4-byte ids from the replica-major [`gp_sched::TaskIndex`],
+//! the only per-task state is one 16-byte column of packed timeline keys
+//! (start time plus the span's tie-break), which sorted in place *is* the
+//! timeline, dependency probes walk precomputed CSR rows, and activation
+//! memory is a running per-device watermark (the layout is documented on
+//! the private `engine` module; the perf harness is
 //! `crates/bench/src/bin/sim_profile.rs`).
 //! [`SimOptions::parallelism`] enables a deterministic parallel
 //! relaxation with byte-identical reports.

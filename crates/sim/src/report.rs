@@ -46,7 +46,11 @@ pub struct SimReport {
     /// Peak memory per device in bytes (parameters + optimizer states +
     /// stashed activations).
     pub peak_memory_bytes: Vec<u64>,
-    /// All executed tasks, sorted by start time.
+    /// All executed tasks, sorted by the total key
+    /// `(start, device, stage, mb, pass)`: start time first, ties broken
+    /// by device id, then stage id, then micro-batch, then forward before
+    /// backward. The key is unique per span, so the order is fully
+    /// determined by the strategy.
     pub timeline: Vec<TaskSpan>,
     /// The mini-batch size the iteration processed.
     pub mini_batch: u64,
@@ -133,6 +137,12 @@ pub enum SimError {
         /// Task orders provided.
         schedules: usize,
     },
+    /// The iteration has more task instances than the engine's 32-bit
+    /// task ids can name.
+    TooManyTasks {
+        /// Task instances in the iteration.
+        tasks: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -146,6 +156,11 @@ impl fmt::Display for SimError {
             SimError::MissingSchedule { stages, schedules } => write!(
                 f,
                 "schedule covers {schedules} stages but the strategy has {stages}"
+            ),
+            SimError::TooManyTasks { tasks } => write!(
+                f,
+                "the iteration has {tasks} tasks; the simulator indexes at most {}",
+                u32::MAX
             ),
         }
     }

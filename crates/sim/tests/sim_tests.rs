@@ -302,6 +302,30 @@ fn parallel_mode_detects_the_same_deadlock() {
 }
 
 #[test]
+fn a_task_missing_from_the_schedule_is_reported() {
+    // Stage 0's last backward has no dependents, so dropping it stalls
+    // nothing: every queued task runs, but one task of the iteration never
+    // does. Both engines report it instead of emitting a span for it.
+    let (model, cluster, sg) = chain_setup(2, 2, 8);
+    let mut schedule = schedule_tasks(&sg, &assign_in_flight(&sg));
+    assert_eq!(
+        schedule.per_stage[0].tasks.pop().unwrap().pass,
+        Pass::Backward
+    );
+    for workers in [1, 2] {
+        let options = SimOptions::default().with_parallelism(workers);
+        let err = simulate_with(model.graph(), &cluster, &sg, &schedule, &options).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::Deadlock {
+                completed: 15,
+                total: 16
+            }
+        );
+    }
+}
+
+#[test]
 fn reports_are_byte_deterministic() {
     // Repeated simulations of the same strategy must produce identical
     // timelines and renderings — including tie-breaks between task spans
@@ -323,5 +347,55 @@ fn reports_are_byte_deterministic() {
         let ka = (w[0].device, w[0].stage, w[0].mb, w[0].pass as u8);
         let kb = (w[1].device, w[1].stage, w[1].mb, w[1].pass as u8);
         assert!(w[0].start < w[1].start || (w[0].start == w[1].start && ka <= kb));
+    }
+}
+
+#[test]
+fn telemetry_counts_waiter_lists_and_arena_bytes() {
+    use gp_obs::Telemetry;
+    use gp_sim::simulate_traced;
+
+    let (model, cluster, sg) = chain_setup(4, 2, 32);
+    let schedule = schedule_tasks(&sg, &assign_in_flight(&sg));
+    let tasks = 4 * 16 * 2;
+    let metric = |list: Vec<(String, i64)>, name: &str| {
+        list.into_iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("{name} not recorded"))
+    };
+    for (workers, per_task) in [(1, 16 + 4), (2, 16 + 4 + 8)] {
+        let telemetry = Telemetry::enabled();
+        let options = SimOptions::default().with_parallelism(workers);
+        simulate_traced(
+            model.graph(),
+            &cluster,
+            &sg,
+            &schedule,
+            &options,
+            &telemetry,
+        )
+        .unwrap();
+        let registry = telemetry.registry().unwrap();
+        // The key column and the queue slab (plus, in parallel, the
+        // atomic start column).
+        assert_eq!(
+            metric(registry.gauges(), "sim.arena_bytes"),
+            per_task * tasks
+        );
+        let counters: Vec<(String, i64)> = registry
+            .counters()
+            .into_iter()
+            .map(|(n, v)| (n, v as i64))
+            .collect();
+        let parks = metric(counters.clone(), "sim.watcher_parks");
+        let wakes = metric(counters, "sim.watcher_wakes");
+        // A pipeline's downstream stages wait on upstream ones, and every
+        // parked device is woken exactly once when its task commits; the
+        // parallel engine has no waiter lists.
+        if workers == 1 {
+            assert!(parks > 0);
+        }
+        assert_eq!(parks, wakes);
     }
 }

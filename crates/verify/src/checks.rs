@@ -397,7 +397,8 @@ pub fn verify_schedule(sg: &StageGraph, schedule: &PipelineSchedule) -> VerifyRe
 /// backward-pass edges from the task's own forward plus covering backwards
 /// of every successor stage. If Kahn's algorithm consumes every task, no
 /// execution of the fixed per-device orders can stall; otherwise the
-/// lowest-indexed stuck task names the cycle.
+/// lowest-indexed stuck task names the cycle (in [`TaskIndex`] order:
+/// stage, then replica, then micro-batch).
 fn deadlock_certificate(sg: &StageGraph, schedule: &PipelineSchedule, report: &mut VerifyReport) {
     let idx = TaskIndex::new(sg);
     let n = idx.len();
@@ -960,6 +961,45 @@ mod tests {
         let report = verify_schedule(&sg, &deadlocked);
         assert!(report.violates(Check::DeadlockFree), "{report}");
         // The working order (enough warm-up upstream) proves clean.
+        let fine = schedule_tasks(&sg, &assign_in_flight(&sg));
+        assert!(verify_schedule(&sg, &fine).is_clean());
+    }
+
+    /// The crossed-order deadlock with a replicated downstream stage: S1
+    /// runs micro-batches 0, 2 on device 1 and 1, 3 on device 2, so the
+    /// certificate has to follow the per-replica queue edges.
+    #[test]
+    fn deadlock_certificate_catches_crossed_orders_at_dp_two() {
+        let model = zoo::mlp_chain(2, 8);
+        let cluster = Cluster::summit_like(3);
+        let ops = model.linearize();
+        let stages = vec![
+            Stage {
+                id: StageId(0),
+                ops: ops[..3].to_vec(),
+                devices: DeviceRange::new(0, 1),
+                micro_batch: 2,
+                kfkb: 1,
+            },
+            Stage {
+                id: StageId(1),
+                ops: ops[3..].to_vec(),
+                devices: DeviceRange::new(1, 2),
+                micro_batch: 2,
+                kfkb: 1,
+            },
+        ];
+        let sg = StageGraph::new(model.graph(), &cluster, stages, 8).unwrap();
+        // S0 wants B(0) before F(1); S1 backs B(0) up behind every forward.
+        let deadlocked = PipelineSchedule {
+            per_stage: vec![
+                StageSchedule::kfkb(StageId(0), 4, 1, 1),
+                StageSchedule::kfkb(StageId(1), 4, 4, 1),
+            ],
+        };
+        deadlocked.validate_c4(&sg).unwrap();
+        let report = verify_schedule(&sg, &deadlocked);
+        assert!(report.violates(Check::DeadlockFree), "{report}");
         let fine = schedule_tasks(&sg, &assign_in_flight(&sg));
         assert!(verify_schedule(&sg, &fine).is_clean());
     }
