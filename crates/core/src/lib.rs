@@ -58,7 +58,7 @@ pub mod session;
 pub use error::Error;
 pub use session::{
     Comparison, ComparisonRow, EvalResult, PlannedStrategy, Session, SessionBuilder, SessionFleet,
-    SessionService, TrainingConfig, TrainingRun,
+    TrainingConfig, TrainingRun,
 };
 
 /// Computation-graph IR and model zoo (re-export of `gp-ir`).
@@ -127,8 +127,8 @@ pub mod prelude {
     pub use crate::verify::{verify_plan, verify_schedule, verify_strategy, VerifyReport};
     pub use crate::{
         evaluate, planner, simulate_plan, Comparison, ComparisonRow, Error, EvalResult,
-        PlannedStrategy, PlannerKind, Session, SessionBuilder, SessionFleet, SessionService,
-        TrainingConfig, TrainingRun,
+        PlannedStrategy, PlannerKind, Session, SessionBuilder, SessionFleet, TrainingConfig,
+        TrainingRun,
     };
 }
 

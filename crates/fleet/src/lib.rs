@@ -1,8 +1,8 @@
 //! # gp-fleet — distributed plan serving
 //!
-//! `gp-serve` answers plan requests from one process: a single cache, a
-//! single planner pool, callers trusted not to stampede. This crate
-//! scales that surface out to a fleet:
+//! `gp-serve` defines what a plan request is, how it is fingerprinted,
+//! and how a plan is encoded. This crate serves those requests — from one
+//! process or a fleet of them:
 //!
 //! * [`ShardedPlanCache`] — N independent LRU shards selected by
 //!   fingerprint range, so concurrent tenants contend on `1/N` of the
@@ -17,7 +17,10 @@
 //! * [`AdmissionControl`] — multi-tenant admission: eval-budget tiers,
 //!   per-tenant in-flight quotas, and backlog shedding.
 //! * [`FleetService`] — the front-end that composes all of the above
-//!   behind one `submit(tenant, request) -> ticket` call.
+//!   behind one `submit(tenant, request) -> ticket` call, with one
+//!   single-flight map and one warm-start index. [`FleetConfig::local`]
+//!   is the smallest fleet: one shard, no store, in-process workers, and
+//!   a default tenant whose requests keep their exact fingerprints.
 //!
 //! ## Determinism contract
 //!
@@ -30,6 +33,7 @@
 //! locally. DESIGN.md §"Fleet architecture" gives the full argument.
 
 pub mod admission;
+mod cache;
 pub mod protocol;
 pub mod service;
 pub mod shard;

@@ -24,8 +24,23 @@
 //! quota token is taken, and when the backlog of claimed-but-unfinished
 //! misses exceeds the configured depth the request is shed with
 //! [`ServeError::Overloaded`] instead of queued into a latency cliff.
+//!
+//! Plans are verified where they are made and reused only for the graph
+//! numbering they were made for. A waiter that joined a run for an
+//! isomorphic model with renumbered operators (or a colliding
+//! fingerprint) gets its own planner run at fan-out.
+//!
+//! **Planner parallelism.** A request whose
+//! [`PlanOptions::parallelism`](gp_partition::PlanOptions) is above one
+//! spreads its search over that many scoped threads on the worker that
+//! claims it. The parallel search is plan-identical to the sequential
+//! one, so the knob is excluded from the request fingerprint: sequential
+//! and parallel requests for one problem share one cache entry and one
+//! single-flight run.
 
-use crate::admission::{AdmissionConfig, AdmissionControl, AdmissionToken};
+use crate::admission::{
+    AdmissionConfig, AdmissionControl, AdmissionToken, TenantClass, TenantSpec,
+};
 use crate::shard::{ShardLookup, ShardStats, ShardedPlanCache};
 use crate::store::ArtifactStore;
 use crate::worker::{LocalWorker, PlanWorker, RemoteWorker, WorkerFailure};
@@ -59,6 +74,30 @@ pub struct FleetConfig {
     pub admission: AdmissionConfig,
     /// Telemetry sink for fleet counters, histograms, and spans.
     pub telemetry: Telemetry,
+}
+
+impl FleetConfig {
+    /// The smallest fleet: `workers` in-process planner threads, one cache
+    /// shard of `cache_capacity` plans, no store, and a
+    /// [`TenantClass::Premium`] default tenant. Premium passes search
+    /// options through untouched, so every request keeps the fingerprint
+    /// [`PlanRequest::fingerprint`] computes for it (the default config's
+    /// `Standard` tier clamps the beam and eval budget, which changes it).
+    pub fn local(workers: usize, cache_capacity: usize) -> FleetConfig {
+        FleetConfig {
+            shards: 1,
+            cache_capacity,
+            local_workers: workers,
+            admission: AdmissionConfig {
+                default_spec: TenantSpec {
+                    class: TenantClass::Premium,
+                    tokens: None,
+                },
+                ..AdmissionConfig::default()
+            },
+            ..FleetConfig::default()
+        }
+    }
 }
 
 impl Default for FleetConfig {
@@ -101,6 +140,10 @@ pub struct FleetStats {
     pub worker_errors: u64,
     /// Successful planner runs across all workers.
     pub planner_runs: u64,
+    /// Planner runs that produced no servable plan: the search failed,
+    /// the static verifier rejected the plan, or the worker's artifact
+    /// did not decode for this request. Failures are not cached.
+    pub planner_errors: u64,
     /// Planner runs seeded by a warm-start hint from a *different*
     /// configuration of the same graph (the cross-config reuse case).
     pub warm_starts: u64,
@@ -143,8 +186,13 @@ impl FleetStats {
             self.requests, self.shard_hits, self.store_hits, self.joins, self.misses
         ));
         out.push_str(&format!(
-            "shed {}  quota-refusals {}  retries {}  worker-errors {}  planner-runs {}  warm-starts {}\n",
-            self.shed, self.quota_refusals, self.retries, self.worker_errors, self.planner_runs,
+            "shed {}  quota-refusals {}  retries {}  worker-errors {}  planner-runs {}  planner-errors {}  warm-starts {}\n",
+            self.shed,
+            self.quota_refusals,
+            self.retries,
+            self.worker_errors,
+            self.planner_runs,
+            self.planner_errors,
             self.warm_starts
         ));
         out.push_str(&format!(
@@ -271,6 +319,7 @@ struct Counters {
     retries: AtomicU64,
     worker_errors: AtomicU64,
     planner_runs: AtomicU64,
+    planner_errors: AtomicU64,
     warm_starts: AtomicU64,
 }
 
@@ -559,6 +608,7 @@ impl FleetService {
             retries: c.retries.load(Ordering::Relaxed),
             worker_errors: c.worker_errors.load(Ordering::Relaxed),
             planner_runs: c.planner_runs.load(Ordering::Relaxed),
+            planner_errors: c.planner_errors.load(Ordering::Relaxed),
             warm_starts: c.warm_starts.load(Ordering::Relaxed),
             cached_plans: self.shared.cache.len() as u64,
             cache_evictions: self.shared.cache.evictions(),
@@ -597,14 +647,6 @@ impl Drop for FleetService {
     }
 }
 
-fn planner_tag(planner: ServePlanner) -> u64 {
-    match planner {
-        ServePlanner::GraphPipe => 0,
-        ServePlanner::PipeDream => 1,
-        ServePlanner::Piper => 2,
-    }
-}
-
 fn dispatcher_loop(shared: &Shared, rx: &Receiver<Job>, worker_index: usize) {
     while let Ok(job) = rx.recv() {
         let wait_ns = shared.clock.now_nanos().saturating_sub(job.enqueued_ns);
@@ -630,7 +672,7 @@ fn plan_via_workers(
 ) -> Result<(String, Arc<Plan>), ServeError> {
     let warm_key = (request.planner == ServePlanner::GraphPipe).then(|| {
         (
-            request_graph_fingerprint(&request.model, planner_tag(request.planner)),
+            request_graph_fingerprint(&request.model, request.planner.tag()),
             request_config_fingerprint(&request.cluster, request.mini_batch, &request.options),
         )
     });
@@ -664,22 +706,22 @@ fn plan_via_workers(
                 let rtt = shared.clock.now_nanos().saturating_sub(start_ns);
                 shared.worker_rtt.record(rtt);
                 shared.telemetry.record("fleet.worker_rtt_ns", rtt);
-                shared.counters.planner_runs.fetch_add(1, Ordering::Relaxed);
-                let (plan, fp) =
-                    artifact::decode_plan(&text, request.model.graph(), &request.cluster).map_err(
-                        |e| {
-                            ServeError::Plan(PlanError::Internal(format!(
-                                "worker {} returned an invalid artifact: {e}",
+                let plan =
+                    match artifact::decode_plan(&text, request.model.graph(), &request.cluster) {
+                        Ok((plan, Some(fp))) if fp == fingerprint => plan,
+                        rejected => {
+                            count_planner_error(shared);
+                            let why = match rejected {
+                                Err(e) => format!("returned an invalid artifact: {e}"),
+                                Ok(_) => "answered for the wrong request".to_string(),
+                            };
+                            return Err(ServeError::Plan(PlanError::Internal(format!(
+                                "worker {} {why}",
                                 worker.describe()
-                            )))
-                        },
-                    )?;
-                if fp != Some(fingerprint) {
-                    return Err(ServeError::Plan(PlanError::Internal(format!(
-                        "worker {} answered for the wrong request",
-                        worker.describe()
-                    ))));
-                }
+                            ))));
+                        }
+                    };
+                shared.counters.planner_runs.fetch_add(1, Ordering::Relaxed);
                 if seed_warm_index {
                     if let Some((graph_fp, config_fp)) = warm_key {
                         shared.warm_index.lock().insert(
@@ -695,7 +737,10 @@ fn plan_via_workers(
                 }
                 return Ok((text, Arc::new(plan)));
             }
-            Err(WorkerFailure::Failed(e)) => return Err(e),
+            Err(WorkerFailure::Failed(e)) => {
+                count_planner_error(shared);
+                return Err(e);
+            }
             Err(WorkerFailure::Unavailable(_)) => {
                 shared
                     .counters
@@ -706,6 +751,17 @@ fn plan_via_workers(
         }
     }
     Err(ServeError::WorkerUnavailable { attempts })
+}
+
+/// A planner run that produced no servable plan: the search failed, the
+/// worker's verifier rejected the plan, or the front-end rejected the
+/// artifact the worker sent back.
+fn count_planner_error(shared: &Shared) {
+    shared
+        .counters
+        .planner_errors
+        .fetch_add(1, Ordering::Relaxed);
+    shared.telemetry.counter_add("fleet.planner_errors", 1);
 }
 
 fn publish(
@@ -759,15 +815,15 @@ fn publish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::{TenantClass, TenantSpec};
     use gp_cluster::Cluster;
-    use gp_ir::zoo::{self, CandleUnoConfig, DlrmConfig};
+    use gp_ir::zoo::{self, CandleUnoConfig, DlrmConfig, MmtConfig};
+    use gp_partition::PlanOptions;
 
-    fn request() -> PlanRequest {
+    fn request(mini_batch: u64) -> PlanRequest {
         PlanRequest::new(
             Arc::new(zoo::candle_uno(&CandleUnoConfig::tiny())),
             Cluster::summit_like(4),
-            32,
+            mini_batch,
         )
     }
 
@@ -779,13 +835,50 @@ mod tests {
         )
     }
 
+    fn local(workers: usize, cache_capacity: usize) -> FleetService {
+        FleetService::start(FleetConfig::local(workers, cache_capacity)).unwrap()
+    }
+
+    fn plan(service: &FleetService, request: PlanRequest) -> Reply {
+        service.submit("t", request)?.wait()
+    }
+
+    /// A local worker that plans only when its gate lets it: each message
+    /// admits one run, and dropping the sender opens the gate for good.
+    /// Holding a run at the gate makes the next identical submit a
+    /// deterministic join.
+    struct Gate(Receiver<()>, LocalWorker);
+
+    impl PlanWorker for Gate {
+        fn describe(&self) -> String {
+            "gate".into()
+        }
+        fn plan(
+            &self,
+            request: &PlanRequest,
+            warm: Option<WarmStart>,
+        ) -> Result<String, WorkerFailure> {
+            let _ = self.0.recv();
+            self.1.plan(request, warm)
+        }
+    }
+
+    /// A fleet whose single worker is a closed [`Gate`], and the gate's
+    /// release.
+    fn gated(config: FleetConfig) -> (Sender<()>, FleetService) {
+        let (release, gate) = unbounded::<()>();
+        let worker = Gate(gate, LocalWorker::new(0, Telemetry::disabled()));
+        let service = FleetService::with_workers(config, vec![Box::new(worker)]).unwrap();
+        (release, service)
+    }
+
     #[test]
     fn plans_then_serves_from_the_shard_cache() {
         let service = FleetService::with_workers(FleetConfig::default(), Vec::new()).unwrap();
-        let first = service.submit("t", request()).unwrap();
+        let first = service.submit("t", request(32)).unwrap();
         assert_eq!(first.served(), Served::Planned);
         let plan = first.wait().expect("plans");
-        let second = service.submit("t", request()).unwrap();
+        let second = service.submit("t", request(32)).unwrap();
         assert_eq!(second.served(), Served::Cache);
         assert!(Arc::ptr_eq(&second.wait().unwrap(), &plan));
         let stats = service.stats();
@@ -798,22 +891,276 @@ mod tests {
     }
 
     #[test]
-    fn quota_exhaustion_is_overloaded() {
-        struct Gate(crossbeam::channel::Receiver<()>, LocalWorker);
-        impl PlanWorker for Gate {
+    fn repeat_requests_hit_the_cache() {
+        let service = local(2, 8);
+        let a = plan(&service, request(32)).unwrap();
+        let b = plan(&service, request(32)).unwrap();
+        assert_eq!(a, b);
+        let stats = service.stats();
+        assert_eq!(stats.requests, 2);
+        assert_eq!(stats.planner_runs, 1);
+        assert_eq!(stats.shard_hits, 1);
+        assert_eq!(stats.misses, 1);
+        assert!(stats.hit_rate() > 0.0);
+    }
+
+    #[test]
+    fn distinct_requests_plan_separately() {
+        let service = local(2, 8);
+        let a = plan(&service, request(32)).unwrap();
+        let b = plan(&service, request(16)).unwrap();
+        assert_ne!(a.stage_graph.mini_batch(), b.stage_graph.mini_batch());
+        let stats = service.stats();
+        assert_eq!(stats.planner_runs, 2);
+        assert_eq!(stats.shard_hits, 0);
+    }
+
+    #[test]
+    fn concurrent_identical_requests_run_the_planner_once() {
+        // More submitters than workers, all identical: single-flight must
+        // collapse them into exactly one planner execution.
+        let service = local(4, 8);
+        let tickets: Vec<FleetTicket> = (0..64)
+            .map(|_| service.submit("t", request(32)).unwrap())
+            .collect();
+        let plans: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        for w in plans.windows(2) {
+            assert_eq!(w[0], w[1]);
+        }
+        let stats = service.stats();
+        assert_eq!(stats.requests, 64);
+        assert_eq!(
+            stats.planner_runs,
+            1,
+            "single-flight failed:\n{}",
+            stats.render()
+        );
+        assert_eq!(stats.shard_hits + stats.joins, 63);
+    }
+
+    #[test]
+    fn planner_failures_propagate_to_all_waiters() {
+        // A mini-batch no micro-batch candidate divides -> planner error.
+        let bad = PlanRequest::new(
+            Arc::new(zoo::mmt(&MmtConfig::tiny())),
+            Cluster::summit_like(4),
+            32,
+        )
+        .with_options(PlanOptions {
+            micro_batch_candidates: Some(vec![7]),
+            ..PlanOptions::default()
+        });
+        let (release, service) = gated(FleetConfig::local(1, 8));
+        let t1 = service.submit("t", bad.clone()).unwrap();
+        let t2 = service.submit("t", bad).unwrap();
+        assert_eq!(t2.served(), Served::Joined);
+        drop(release);
+        assert!(matches!(t1.wait(), Err(ServeError::Plan(_))));
+        assert!(matches!(t2.wait(), Err(ServeError::Plan(_))));
+        let stats = service.stats();
+        assert_eq!(stats.planner_errors, 1, "{}", stats.render());
+        assert_eq!(stats.planner_runs, 0);
+        // Errors are not cached.
+        assert_eq!(stats.cached_plans, 0);
+        assert!(stats.render().contains("planner-errors 1"));
+
+        // An artifact the front-end rejects is a failed run as well.
+        struct Garbage;
+        impl PlanWorker for Garbage {
             fn describe(&self) -> String {
-                "gate".into()
+                "garbage".into()
             }
             fn plan(
                 &self,
-                request: &PlanRequest,
-                warm: Option<WarmStart>,
+                _request: &PlanRequest,
+                _warm: Option<WarmStart>,
             ) -> Result<String, WorkerFailure> {
-                let _ = self.0.recv();
-                self.1.plan(request, warm)
+                Ok("not an artifact".into())
             }
         }
-        let (release, gated) = unbounded::<()>();
+        let service =
+            FleetService::with_workers(FleetConfig::local(1, 8), vec![Box::new(Garbage)]).unwrap();
+        match plan(&service, request(32)) {
+            Err(ServeError::Plan(PlanError::Internal(why))) => {
+                assert!(why.contains("invalid artifact"), "{why}")
+            }
+            other => panic!("expected a rejected artifact, got {other:?}"),
+        }
+        let stats = service.stats();
+        assert_eq!((stats.planner_runs, stats.planner_errors), (0, 1));
+    }
+
+    #[test]
+    fn tickets_expose_fingerprint_and_cache_flag() {
+        let service = local(1, 8);
+        let t1 = service.submit("t", request(32)).unwrap();
+        let fp = t1.fingerprint();
+        // The local config's Premium default tenant leaves the options,
+        // and hence the fingerprint, as submitted.
+        assert_eq!(fp, request(32).fingerprint());
+        assert!(!t1.served_from_cache());
+        t1.wait().unwrap();
+        let t2 = service.submit("t", request(32)).unwrap();
+        assert_eq!(t2.fingerprint(), fp);
+        assert!(t2.served_from_cache());
+        t2.wait().unwrap();
+    }
+
+    #[test]
+    fn baseline_planners_are_servable() {
+        let service = local(2, 8);
+        let gp = plan(&service, request(32)).unwrap();
+        let pd = plan(&service, request(32).with_planner(ServePlanner::PipeDream)).unwrap();
+        // Different planner => different fingerprint => both planned.
+        assert!(pd.pipeline_depth() >= gp.pipeline_depth());
+        assert_eq!(service.stats().planner_runs, 2);
+    }
+
+    #[test]
+    fn eviction_forces_a_replan() {
+        let service = local(1, 1);
+        plan(&service, request(32)).unwrap();
+        plan(&service, request(16)).unwrap(); // evicts the first plan
+        plan(&service, request(32)).unwrap(); // must re-plan
+        let stats = service.stats();
+        assert_eq!(stats.planner_runs, 3);
+        assert_eq!(stats.cache_evictions, 2);
+    }
+
+    #[test]
+    fn renumbered_isomorphic_model_gets_its_own_plan() {
+        use gp_ir::{GraphBuilder, OpKind, Shape, SpBlock, SpModel};
+        // The same asymmetric diamond built in two insertion orders: equal
+        // fingerprints, permuted OpIds. Serving A's plan to B would assign
+        // B's operators to the wrong stages; the fleet must detect the
+        // mismatch and plan B for real.
+        let diamond = |swap: bool| {
+            let mut b = GraphBuilder::new();
+            let x = b.input("x", Shape::vector(64));
+            let (p, q) = if swap {
+                let q = b.linear("q", x, 64, false).unwrap();
+                let p = b.linear("p", x, 64, true).unwrap();
+                (p, q)
+            } else {
+                let p = b.linear("p", x, 64, true).unwrap();
+                let q = b.linear("q", x, 64, false).unwrap();
+                (p, q)
+            };
+            let cat = b.op("cat", OpKind::Concat, &[p, q]).unwrap();
+            let loss = b.loss("loss", &[cat]);
+            let root = SpBlock::Chain(vec![
+                SpBlock::Leaf(x),
+                SpBlock::Branches(vec![SpBlock::Leaf(p), SpBlock::Leaf(q)]),
+                SpBlock::Leaf(cat),
+                SpBlock::Leaf(loss),
+            ]);
+            Arc::new(SpModel::new("diamond", b.finish().unwrap(), root).unwrap())
+        };
+        let (a, b) = (diamond(false), diamond(true));
+        let req = |m: &Arc<SpModel>| PlanRequest::new(Arc::clone(m), Cluster::summit_like(2), 16);
+        assert_eq!(req(&a).fingerprint(), req(&b).fingerprint());
+
+        // Hold A's run at the gate so B joins it and takes the fan-out
+        // path, which must re-plan B on its own graph.
+        let (release, service) = gated(FleetConfig::local(1, 8));
+        let ticket_a = service.submit("t", req(&a)).unwrap();
+        let ticket_b = service.submit("t", req(&b)).unwrap();
+        assert_eq!(ticket_b.served(), Served::Joined);
+        drop(release);
+        let (plan_a, plan_b) = (ticket_a.wait().unwrap(), ticket_b.wait().unwrap());
+        // Both plans must be valid for their own graph's numbering.
+        for (plan, model) in [(&plan_a, &a), (&plan_b, &b)] {
+            plan.schedule.validate_c4(&plan.stage_graph).unwrap();
+            for s in plan.stage_graph.stages() {
+                assert!(model.graph().is_convex(&s.ops));
+            }
+        }
+        let stats = service.stats();
+        assert_eq!(stats.planner_runs, 2, "{}", stats.render());
+        assert_eq!(stats.joins, 1);
+    }
+
+    #[test]
+    fn parallel_requests_share_the_sequential_cache_entry() {
+        // One hot request may spend idle cores via options.parallelism;
+        // the produced plan is identical, so sequential and parallel
+        // requests must collapse onto a single cache entry.
+        let service = local(2, 8);
+        let parallel = request(32).with_options(PlanOptions {
+            parallelism: 3,
+            ..PlanOptions::default()
+        });
+        assert_eq!(request(32).fingerprint(), parallel.fingerprint());
+        let a = plan(&service, parallel).unwrap();
+        let b = plan(&service, request(32)).unwrap();
+        assert_eq!(a, b);
+        let stats = service.stats();
+        assert_eq!(stats.planner_runs, 1, "{}", stats.render());
+        assert_eq!(stats.shard_hits, 1, "{}", stats.render());
+    }
+
+    #[test]
+    fn near_miss_warm_start_serves_the_cold_plan() {
+        use gp_serve::fingerprint::plan_fingerprint;
+        // Same model, different cluster size and mini-batch: a fingerprint
+        // near miss. The warm-started plan must be byte-identical to what a
+        // cold fleet produces for the same request.
+        let near = |mini: u64| {
+            PlanRequest::new(
+                Arc::new(zoo::candle_uno(&CandleUnoConfig::tiny())),
+                Cluster::summit_like(8),
+                mini,
+            )
+        };
+        let service = local(1, 8);
+        plan(&service, request(32)).unwrap(); // seeds the warm index
+        let warm_plan = plan(&service, near(64)).unwrap();
+        let stats = service.stats();
+        assert_eq!(stats.planner_runs, 2, "{}", stats.render());
+        assert_eq!(stats.warm_starts, 1, "{}", stats.render());
+        assert!(stats.render().contains("warm-starts 1"));
+
+        let cold_service = local(1, 8);
+        let cold_plan = plan(&cold_service, near(64)).unwrap();
+        assert_eq!(cold_service.stats().warm_starts, 0);
+        assert_eq!(plan_fingerprint(&warm_plan), plan_fingerprint(&cold_plan));
+        assert_eq!(warm_plan.stage_graph, cold_plan.stage_graph);
+        assert_eq!(warm_plan.bottleneck_tps, cold_plan.bottleneck_tps);
+    }
+
+    #[test]
+    fn warm_start_counts_only_near_misses() {
+        // An eviction-forced replan of the *same* config reuses the seed
+        // but is not a near miss, so the counter must stay untouched. The
+        // eviction comes from a different model, whose seed lives under its
+        // own graph fingerprint.
+        let other = PlanRequest::new(
+            Arc::new(zoo::mmt(&MmtConfig::tiny())),
+            Cluster::summit_like(4),
+            32,
+        );
+        let service = local(1, 1);
+        plan(&service, request(32)).unwrap();
+        plan(&service, other).unwrap(); // evicts the first plan
+        plan(&service, request(32)).unwrap(); // exact replan: warm, not near
+        let stats = service.stats();
+        assert_eq!(stats.planner_runs, 3, "{}", stats.render());
+        assert_eq!(stats.warm_starts, 0, "{}", stats.render());
+    }
+
+    #[test]
+    fn stats_display_mentions_hit_rate() {
+        let service = local(1, 4);
+        plan(&service, request(32)).unwrap();
+        plan(&service, request(32)).unwrap();
+        let text = service.stats().render();
+        assert!(text.contains("hit-rate"), "{text}");
+        assert!(text.contains("planner-runs"), "{text}");
+        assert!(text.contains("planner-errors 0"), "{text}");
+    }
+
+    #[test]
+    fn quota_exhaustion_is_overloaded() {
         let config = FleetConfig {
             admission: AdmissionConfig {
                 tenants: vec![(
@@ -827,15 +1174,8 @@ mod tests {
             },
             ..FleetConfig::default()
         };
-        let service = FleetService::with_workers(
-            config,
-            vec![Box::new(Gate(
-                gated,
-                LocalWorker::new(0, Telemetry::disabled()),
-            ))],
-        )
-        .unwrap();
-        let held = service.submit("acme", request()).unwrap();
+        let (release, service) = gated(config);
+        let held = service.submit("acme", request(32)).unwrap();
         match service.submit("acme", other_request()) {
             Err(ServeError::Overloaded { tenant, depth }) => {
                 assert_eq!(tenant, "acme");
@@ -857,21 +1197,6 @@ mod tests {
 
     #[test]
     fn deep_backlog_sheds_new_misses_but_not_joins() {
-        struct Gate(crossbeam::channel::Receiver<()>, LocalWorker);
-        impl PlanWorker for Gate {
-            fn describe(&self) -> String {
-                "gate".into()
-            }
-            fn plan(
-                &self,
-                request: &PlanRequest,
-                warm: Option<WarmStart>,
-            ) -> Result<String, WorkerFailure> {
-                let _ = self.0.recv();
-                self.1.plan(request, warm)
-            }
-        }
-        let (release, gated) = unbounded::<()>();
         let config = FleetConfig {
             admission: AdmissionConfig {
                 max_queue_depth: Some(0),
@@ -879,22 +1204,15 @@ mod tests {
             },
             ..FleetConfig::default()
         };
-        let service = FleetService::with_workers(
-            config,
-            vec![Box::new(Gate(
-                gated,
-                LocalWorker::new(0, Telemetry::disabled()),
-            ))],
-        )
-        .unwrap();
-        let first = service.submit("t", request()).unwrap();
+        let (release, service) = gated(config);
+        let first = service.submit("t", request(32)).unwrap();
         // Backlog is now 1 (> 0): a *different* request is shed...
         match service.submit("t", other_request()) {
             Err(ServeError::Overloaded { depth, .. }) => assert_eq!(depth, 1),
             other => panic!("expected shed, got {:?}", other.map(|t| t.served())),
         }
         // ...but an identical one joins the in-flight planning run.
-        let joined = service.submit("t", request()).unwrap();
+        let joined = service.submit("t", request(32)).unwrap();
         assert_eq!(joined.served(), Served::Joined);
         release.send(()).unwrap();
         let plan = first.wait().unwrap();
@@ -934,7 +1252,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let req = request();
+        let req = request(32);
         let fp = req.fingerprint();
         plan_via_workers(&service.shared, 0, &req, fp, true)
             .expect("failed over to the live worker");
@@ -949,10 +1267,12 @@ mod tests {
             vec![Box::new(Dead), Box::new(Dead)],
         )
         .unwrap();
-        match dead_fleet.submit("t", request()).unwrap().wait() {
+        match plan(&dead_fleet, request(32)) {
             Err(ServeError::WorkerUnavailable { attempts }) => assert_eq!(attempts, 2),
             other => panic!("expected WorkerUnavailable, got {other:?}"),
         }
+        // An unreachable pool is not a planner failure.
+        assert_eq!(dead_fleet.stats().planner_errors, 0);
     }
 
     #[test]
@@ -960,7 +1280,7 @@ mod tests {
         let mut service = FleetService::with_workers(FleetConfig::default(), Vec::new()).unwrap();
         service.shutdown();
         assert_eq!(
-            service.submit("t", request()).err(),
+            service.submit("t", request(32)).err(),
             Some(ServeError::ServiceStopped)
         );
     }
@@ -990,8 +1310,8 @@ mod tests {
             ..FleetConfig::default()
         };
         let service = FleetService::with_workers(config, Vec::new()).unwrap();
-        let cheap = service.submit("cheap", request()).unwrap();
-        let rich = service.submit("rich", request()).unwrap();
+        let cheap = service.submit("cheap", request(32)).unwrap();
+        let rich = service.submit("rich", request(32)).unwrap();
         assert_ne!(
             cheap.fingerprint(),
             rich.fingerprint(),

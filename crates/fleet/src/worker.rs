@@ -23,6 +23,13 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
+
+/// How long a [`WorkerServer`] connection handler waits on a silent peer
+/// (per socket read or write) before dropping the connection. Without it
+/// a client that connects and sends nothing would pin its handler, and
+/// with it [`WorkerServer::shutdown`], forever.
+const PEER_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// Why a worker could not produce an artifact.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,9 +61,9 @@ pub trait PlanWorker: Send + Sync {
 /// Plans a request in-process: build the requested planner, run it,
 /// statically verify the strategy, and encode the canonical artifact.
 ///
-/// This mirrors `gp-serve`'s planner construction (the planner choice and
-/// warm-start plumbing) so a fleet worker and a `PlanService` produce the
-/// same strategy for the same request.
+/// This is the one place a served request's planner is built (the planner
+/// choice and the warm-start plumbing), so every worker, local or remote,
+/// produces the same strategy for the same request.
 ///
 /// # Errors
 ///
@@ -277,8 +284,13 @@ fn reap_finished(handlers: &mut Vec<thread::JoinHandle<()>>) {
 }
 
 fn handle_connection(mut stream: TcpStream, telemetry: &Telemetry, served: &AtomicU64) {
+    if stream.set_read_timeout(Some(PEER_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(PEER_TIMEOUT)).is_err()
+    {
+        return;
+    }
     let Ok(text) = read_frame(&mut stream) else {
-        return; // Peer died mid-request; nothing to answer.
+        return; // Peer died, stalled, or sent garbage; nothing to answer.
     };
     let reply = match protocol::decode_request(&text) {
         Ok((request, warm)) => match plan_locally(&request, warm, telemetry) {
@@ -394,6 +406,23 @@ mod tests {
         assert!(retained <= 32, "{retained} handler threads retained");
         server.shutdown();
         assert_eq!(server.retained_handlers(), 0);
+    }
+
+    #[test]
+    fn silent_peer_does_not_hang_shutdown() {
+        let mut server = WorkerServer::bind("127.0.0.1:0", Telemetry::disabled()).unwrap();
+        // Connected, accepted, and never sends a byte.
+        let silent = TcpStream::connect(server.addr()).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let stopper = thread::spawn(move || {
+            server.shutdown();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(PEER_TIMEOUT + Duration::from_secs(5))
+            .expect("shutdown hung on a silent peer");
+        stopper.join().unwrap();
+        drop(silent);
     }
 
     #[test]

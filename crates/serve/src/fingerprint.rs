@@ -1,7 +1,8 @@
 //! Canonical structural fingerprints for planning requests.
 //!
-//! The plan cache ([`crate::PlanService`]) is keyed by a 128-bit
-//! [`Fingerprint`] over everything that determines a planner's output:
+//! The plan cache (`gp-fleet`'s sharded cache and artifact store) is keyed
+//! by a 128-bit [`Fingerprint`] over everything that determines a
+//! planner's output:
 //!
 //! * the **model graph**, hashed structurally — per-node labels are
 //!   refined Weisfeiler–Leman style from operator kinds, output shapes and
@@ -157,7 +158,7 @@ pub fn plan_fingerprint(plan: &gp_partition::Plan) -> Fingerprint {
 /// Two requests with equal graph parts but different [config parts]
 /// (`request_config_fingerprint`) are *near misses*: the search spaces
 /// differ, but a cached plan for one is a useful warm-start seed for the
-/// other (see `PlanService`'s warm index).
+/// other (see the warm index in `gp-fleet`'s `FleetService`).
 ///
 /// [config parts]: request_config_fingerprint
 pub fn request_graph_fingerprint(model: &SpModel, planner_tag: u64) -> Fingerprint {

@@ -1,10 +1,12 @@
-//! # gp-serve — the concurrent plan-serving subsystem
+//! # gp-serve — the plan-serving vocabulary
 //!
 //! GraphPipe's value is the *plan*: the §5 partitioner spends tens of
 //! thousands of DP evaluations per query, yet the result is a small, pure
 //! function of `(model, cluster, planner, options, mini-batch)`. This crate
-//! turns planning into a service, the PipeDream-style profiler → planner →
-//! runtime split realized for the reproduction:
+//! defines what it takes to serve that function — the PipeDream-style
+//! profiler → planner → runtime split realized for the reproduction — and
+//! `gp-fleet` runs the service itself (cache, single flight, warm starts,
+//! workers):
 //!
 //! * [`fingerprint`] — **canonical cache keys.** A 128-bit structural hash
 //!   over the model graph (Weisfeiler–Leman-refined, so it is invariant
@@ -19,12 +21,8 @@
 //!   re-checked against §3's C1–C4). `decode(encode(plan)) == plan`,
 //!   exactly. Built on the in-crate [`json`] document model; swapping in
 //!   real serde later only touches that seam.
-//! * [`PlanCache`] — an LRU of decoded plans keyed by fingerprint.
-//! * [`PlanService`] — a thread-pool-backed service (crossbeam channels +
-//!   parking_lot, the same stack as `gp-exec`) that deduplicates
-//!   concurrent identical requests (single-flight), serves repeats from
-//!   the cache without touching the DP path, and reports hit/miss/latency
-//!   counters as [`ServeStats`].
+//! * [`PlanRequest`], [`ServePlanner`], [`ServeError`] — one planning
+//!   request, the planner it runs on a miss, and why serving it failed.
 //!
 //! Plans carry raw operator ids, so before any plan is reused — cache hit
 //! or single-flight fan-out — the receiving request's graph must match the
@@ -40,39 +38,32 @@
 //! use std::sync::Arc;
 //! use gp_cluster::Cluster;
 //! use gp_ir::zoo::{self, CandleUnoConfig};
-//! use gp_serve::{artifact, PlanRequest, PlanService};
+//! use gp_partition::{GraphPipePlanner, Planner};
+//! use gp_serve::{artifact, PlanRequest};
 //!
-//! let service = PlanService::new(2, 32);
 //! let model = Arc::new(zoo::candle_uno(&CandleUnoConfig::tiny()));
 //! let request = PlanRequest::new(Arc::clone(&model), Cluster::summit_like(4), 32);
 //! let fingerprint = request.fingerprint();
-//!
-//! // First query plans; the repeat is a cache hit.
-//! let plan = service.plan(request.clone())?;
-//! let cached = service.plan(request)?;
-//! assert_eq!(plan, cached);
-//! assert_eq!(service.stats().planner_runs, 1);
+//! let plan = GraphPipePlanner::new().plan(&model, &request.cluster, 32)?;
 //!
 //! // Persist the strategy and restore it, losslessly.
 //! let text = artifact::encode_plan(&plan, Some(fingerprint));
-//! let (restored, fp) = artifact::decode_plan(&text, model.graph(), &Cluster::summit_like(4))
+//! let (restored, fp) = artifact::decode_plan(&text, model.graph(), &request.cluster)
 //!     .expect("artifact decodes");
 //! // Lossless for plan data (search-phase wall timings are measurement,
 //! // not plan data): re-encoding reproduces the bytes exactly.
 //! assert_eq!(artifact::encode_plan(&restored, fp), text);
 //! assert_eq!(fp, Some(fingerprint));
-//! # Ok::<(), gp_serve::ServeError>(())
+//! # Ok::<(), gp_partition::PlanError>(())
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod artifact;
-mod cache;
 pub mod fingerprint;
 pub mod json;
-mod service;
+mod request;
 
-pub use cache::PlanCache;
 pub use fingerprint::Fingerprint;
-pub use service::{PlanRequest, PlanService, PlanTicket, ServeError, ServePlanner, ServeStats};
+pub use request::{PlanRequest, ServeError, ServePlanner};

@@ -6,6 +6,7 @@
 //! contract is also pinned per-layer in `tests/golden_planner.rs` and
 //! `tests/golden_sim.rs`.
 
+use graphpipe::fleet::FleetConfig;
 use graphpipe::obs::{PerfettoSink, SummarySink, Telemetry};
 use graphpipe::prelude::*;
 use graphpipe::serve::json::Json;
@@ -130,14 +131,21 @@ fn session_run_exports_valid_trace_with_deep_spans() {
     assert!(saw_slice, "no simulated task slices");
     assert!(trace.contains("simulated cluster"));
 
-    // Serving through the same session records latency histograms.
-    let service = session.serve(1, 4);
-    service.plan(PlannerKind::GraphPipe).unwrap();
-    service.plan(PlannerKind::GraphPipe).unwrap();
-    let stats = service.shutdown();
-    assert_eq!(stats.miss_latency.count, 1, "{stats}");
-    assert_eq!(stats.hit_latency.count, 1, "{stats}");
-    assert!(stats.render().contains("hit latency"), "{stats}");
+    // Serving through the same session records the fleet's latency
+    // histograms and hit counter into the session's telemetry.
+    let fleet = session.serve_fleet(FleetConfig::local(1, 4)).unwrap();
+    fleet.plan(PlannerKind::GraphPipe).unwrap();
+    fleet.plan(PlannerKind::GraphPipe).unwrap();
+    fleet.shutdown();
+    for histogram in ["fleet.worker_rtt_ns", "fleet.queue_wait_ns"] {
+        assert_eq!(
+            telemetry.histogram_snapshot(histogram).count,
+            1,
+            "{histogram}"
+        );
+    }
+    let registry = telemetry.registry().expect("telemetry is enabled");
+    assert_eq!(registry.counter("fleet.shard_hits").get(), 1);
 }
 
 /// The committed `BENCH_serve.json` (written by `serve_load --out`) must
